@@ -98,8 +98,6 @@ def _add_dataset_args(p) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="rankregret",
                      description="rank-regret minimization toolkit")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")

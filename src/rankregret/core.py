@@ -321,11 +321,7 @@ def rank(u, t_index: int, D: Dataset) -> int:
     """Rank of the tuple in the descending score order of D (ties by index)."""
     if not 1 <= t_index <= D.n:
         raise IndexError(f"tuple index {t_index} outside 1..{D.n}")
-    sc = scores(D, u)
-    target = sc[t_index - 1]
-    above = int(np.count_nonzero(sc > target))
-    tied_lower = int(np.count_nonzero(sc[: t_index - 1] == target))
-    return above + tied_lower + 1
+    return rank_regret_of_set(u, (t_index,), D)
 
 
 def rank_regret_of_set(u, S: Iterable[int], D: Dataset) -> int:
@@ -367,29 +363,59 @@ def _set_rows(S: Iterable[int], n: int) -> np.ndarray:
     return rows - 1
 
 
-def _min_rank_rows(score_matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Minimum rank of the tuple set over each utility row of a score matrix.
+def _min_rank_rows(score_block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Minimum rank of the tuple set over each utility row of a score block.
 
-    The set's best rank is the rank of its best-scoring member; among
-    equal scores the member with the lowest index wins, which ``rows``
-    being sorted guarantees via the first argmax.
+    This is the one vectorised statement of the tie rule.  The set's best
+    rank is the rank of its best-scoring member; among equal scores the
+    member with the lowest index wins, which ``rows`` being sorted
+    guarantees via the first argmax.
     """
-    sub = score_matrix[:, rows]
+    sub = score_block[:, rows]
     pick = rows[np.argmax(sub, axis=1)]
-    best = sub.max(axis=1)
-    above = (score_matrix > best[:, None]).sum(axis=1)
-    col = np.arange(score_matrix.shape[1])
-    tied_lower = ((score_matrix == best[:, None]) & (col[None, :] < pick[:, None])).sum(axis=1)
-    return (above + tied_lower + 1).astype(np.int64)
+    best = sub.max(axis=1)[:, None]
+    ranks = np.count_nonzero(score_block > best, axis=1).astype(np.int64) + 1
+    # exact ties with the best member are rare; add the lower-index ones
+    # only on the utility rows that have any
+    tied = score_block == best
+    some = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
+    if some.size:
+        lower = np.arange(score_block.shape[1])[None, :] < pick[some, None]
+        ranks[some] += np.count_nonzero(tied[some] & lower, axis=1)
+    return ranks
 
 
-def min_ranks_for_vectors(D: Dataset, vectors: np.ndarray, S: Iterable[int],
-                          chunk: int = 2048) -> np.ndarray:
-    """Rank-regret of the set S for every utility row of ``vectors``."""
+# Scores held at once by a blocked rank or score pass (16 MiB of float64).
+_BLOCK_CELLS = 1 << 21
+
+
+def _score_blocks(block_scores, count: int, n: int):
+    """Yield ``(sl, scores)`` for consecutive slices ``sl`` of ``count``
+    utility rows, where ``block_scores(sl)`` is that slice's score block
+    over the n tuples.
+
+    A block holds at most ``_BLOCK_CELLS`` scores (one row when n alone
+    exceeds it), so memory stays fixed whatever ``count`` is.
+    """
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, count, step):
+        sl = slice(lo, min(lo + step, count))
+        yield sl, block_scores(sl)
+
+
+def _min_ranks(block_scores, count: int, n: int, rows: np.ndarray) -> np.ndarray:
+    """``_min_rank_rows`` over all ``count`` utility rows, block by block."""
+    out = np.empty(count, dtype=np.int64)
+    for sl, block in _score_blocks(block_scores, count, n):
+        out[sl] = _min_rank_rows(block, rows)
+    return out
+
+
+def min_ranks_for_vectors(D: Dataset, vectors: np.ndarray, S: Iterable[int]) -> np.ndarray:
+    """Rank-regret of the set S for every utility row of ``vectors``.
+
+    Peak working memory is O(``_BLOCK_CELLS``) scores plus the output.
+    """
     rows = _set_rows(S, D.n)
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
-    out = np.empty(V.shape[0], dtype=np.int64)
-    for lo in range(0, V.shape[0], chunk):
-        block = V[lo:lo + chunk]
-        out[lo:lo + chunk] = _min_rank_rows(block @ D.values.T, rows)
-    return out
+    return _min_ranks(lambda sl: V[sl] @ D.values.T, V.shape[0], D.n, rows)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, RestrictedSpace, _set_rows, min_ranks_for_vectors
+from .core import Dataset, RestrictedSpace, _score_blocks, _set_rows, min_ranks_for_vectors
 from .solverhd import sample_sphere
 
 
@@ -46,7 +46,10 @@ class EvalReport:
 def estimate_rank_regret(S, D: Dataset, samples: int, seed: int,
                          space: RestrictedSpace | None = None,
                          ks=()) -> EvalReport:
-    """Sampled worst-case rank-regret of S, plus rat_k for requested thresholds."""
+    """Sampled worst-case rank-regret of S, plus rat_k for requested thresholds.
+
+    Peak working memory is O(``_BLOCK_CELLS``) scores plus the samples.
+    """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     V = sample_sphere(D.d, samples, seed, space)
@@ -66,7 +69,8 @@ def max_regret_ratio(S, D: Dataset, samples: int, seed: int,
     """Sampled maximum of (best score in D minus best score in S) / best score.
 
     Directions where the dataset's best score is not positive carry no
-    ratio and are skipped with a warning.
+    ratio and are skipped with a warning.  Peak working memory is
+    O(``_BLOCK_CELLS``) scores plus the samples.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -74,9 +78,7 @@ def max_regret_ratio(S, D: Dataset, samples: int, seed: int,
     V = sample_sphere(D.d, samples, seed, space)
     worst = 0.0
     skipped = 0
-    chunk = 4096
-    for lo in range(0, samples, chunk):
-        sc = V[lo:lo + chunk] @ D.values.T
+    for _, sc in _score_blocks(lambda sl: V[sl] @ D.values.T, len(V), D.n):
         top = sc.max(axis=1)
         ok = top > 0
         skipped += int((~ok).sum())

@@ -14,9 +14,10 @@ from math import comb
 
 import numpy as np
 
-from .core import Dataset, RestrictedSpace, min_ranks_for_vectors
+from .core import (Dataset, RestrictedSpace, _min_rank_rows, _score_blocks, _set_rows,
+                   min_ranks_for_vectors)
 from .skyline import restricted_skyline
-from .solver2d import critical_xs, ranks_at, render_scene
+from .solver2d import _line_scores, _min_ranks_at, critical_xs, render_scene
 from .solverhd import sample_sphere
 
 ENUMERATION_GUARD = 10_000_000
@@ -67,11 +68,13 @@ def arc_dataset(n: int) -> Dataset:
 
 def dense_grid_chain_rank(S, D: Dataset, interval: tuple[float, float] = (0.0, 1.0),
                           points: int = 100_000) -> int:
-    """Worst rank of S over a dense uniform x-grid (can only under-count)."""
-    rows = np.unique(np.asarray(list(S), dtype=int)) - 1
+    """Worst rank of S over a dense uniform x-grid (can only under-count).
+
+    Peak working memory is O(``_BLOCK_CELLS``) scores plus the grid.
+    """
+    rows = _set_rows(S, D.n)
     xs = np.linspace(interval[0], interval[1], points)
-    R = ranks_at(D.values, xs)
-    return int(R[rows].min(axis=0).max())
+    return int(_min_ranks_at(D.values, rows, xs).max())
 
 
 def exact_rat_k_2d(S, D: Dataset, k: int, space: RestrictedSpace | None = None) -> float:
@@ -79,19 +82,19 @@ def exact_rat_k_2d(S, D: Dataset, k: int, space: RestrictedSpace | None = None) 
     intersects S, for d = 2.
 
     Ranks are piecewise constant between crossings; each piece is weighted
-    by the angle swept by the normalized direction (c, 1-c).
+    by the angle swept by the normalized direction (c, 1-c).  Peak working
+    memory is O(``_BLOCK_CELLS``) scores plus the critical points.
     """
     if D.d != 2:
         raise ValueError("exact_rat_k_2d requires d = 2")
-    rows = np.unique(np.asarray(list(S), dtype=int)) - 1
+    rows = _set_rows(S, D.n)
     lo, hi = render_scene(space)
     pts = critical_xs(D.values, rows, (lo, hi))
     if len(pts) < 2:
         # degenerate zero-width interval: a single direction
-        mr = ranks_at(D.values, pts)[rows].min(axis=0)
-        return float(mr[0] <= k)
+        return float(_min_ranks_at(D.values, rows, pts)[0] <= k)
     mids = (pts[:-1] + pts[1:]) / 2.0
-    min_rank = ranks_at(D.values, mids)[rows].min(axis=0)
+    min_rank = _min_ranks_at(D.values, rows, mids)
     angles = np.arctan2(pts, 1.0 - pts)
     weights = np.diff(angles)
     hit = weights[min_rank <= k].sum()
@@ -106,27 +109,13 @@ def _candidate_rows(D: Dataset, space, mode: str) -> np.ndarray:
     raise ValueError(f"unknown candidate mode {mode!r}")
 
 
-def _rank_profiles_2d(D: Dataset, cand: np.ndarray, interval) -> np.ndarray:
-    """Rank of every candidate line at every critical evaluation point."""
-    pts = critical_xs(D.values, cand, interval)
-    evals = np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0]) if len(pts) > 1 else pts
-    return ranks_at(D.values, evals)[cand].astype(np.int32)
-
-
-def _rank_profiles_sampled(D: Dataset, cand: np.ndarray, space,
-                           samples: int, seed: int) -> np.ndarray:
-    """Rank of every candidate tuple at every sampled utility vector."""
-    V = sample_sphere(D.d, samples, seed, space)
-    out = np.empty((len(cand), samples), dtype=np.int32)
-    chunk = max(1, 20_000_000 // max(D.n * len(cand), 1))
-    cols = np.arange(D.n)
-    for lo in range(0, samples, chunk):
-        sc = V[lo:lo + chunk] @ D.values.T
-        sub = sc[:, cand]
-        gt = (sc[:, None, :] > sub[:, :, None]).sum(axis=2)
-        eq_lower = ((sc[:, None, :] == sub[:, :, None])
-                    & (cols[None, None, :] < cand[None, :, None])).sum(axis=2)
-        out[:, lo:lo + chunk] = (gt + eq_lower + 1).T
+def _rank_profiles(block_scores, count: int, n: int, cand: np.ndarray) -> np.ndarray:
+    """Rank of every candidate at each of ``count`` evaluation rows, one
+    singleton-set kernel call per candidate and score block."""
+    out = np.empty((len(cand), count), dtype=np.int32)
+    for sl, block in _score_blocks(block_scores, count, n):
+        for i in range(len(cand)):
+            out[i, sl] = _min_rank_rows(block, cand[i:i + 1])
     return out
 
 
@@ -183,7 +172,9 @@ def exhaustive_rrm(D: Dataset, r: int, space: RestrictedSpace | None = None,
     mode "skyline" enumerates restricted-skyline subsets, "all" every
     subset (useful to confirm the candidate reduction loses nothing).
     For d = 2 the evaluation is exact; for d > 2 it is the worst rank
-    over a sampled vector set and therefore a lower bound.
+    over a sampled vector set and therefore a lower bound.  Peak working
+    memory is O(``_BLOCK_CELLS``) scores plus the output, the rank
+    profile of each candidate at each evaluation point.
     """
     if not 1 <= r <= D.n:
         raise ValueError(f"budget r must be in 1..{D.n}, got {r}")
@@ -194,11 +185,14 @@ def exhaustive_rrm(D: Dataset, r: int, space: RestrictedSpace | None = None,
             f"enumerating {total} subsets exceeds the guard {ENUMERATION_GUARD}"
         )
     if D.d == 2:
-        R = _rank_profiles_2d(D, cand, render_scene(space))
+        pts = critical_xs(D.values, cand, render_scene(space))
+        evals = np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0])
+        R = _rank_profiles(_line_scores(D.values, evals), len(evals), D.n, cand)
         method = "exhaustive-2d-exact"
         rep_samples = rep_seed = None
     else:
-        R = _rank_profiles_sampled(D, cand, space, samples, seed)
+        V = sample_sphere(D.d, samples, seed, space)
+        R = _rank_profiles(lambda sl: V[sl] @ D.values.T, len(V), D.n, cand)
         method = "exhaustive-sampled"
         rep_samples, rep_seed = samples, seed
     value, optimal, work = _min_over_subsets(R, cand, r, sets_cap)

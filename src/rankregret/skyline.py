@@ -34,45 +34,28 @@ class CandidateSet:
         return iter(self.indices)
 
 
-def _frontier_mask_2(M: np.ndarray) -> np.ndarray:
-    """Sort-filter frontier for two columns, O(n log n)."""
-    n = M.shape[0]
-    order = np.lexsort((np.arange(n), -M[:, 1], -M[:, 0]))
-    keep = np.zeros(n, dtype=bool)
-    best = -np.inf
-    for i in order:
-        if M[i, 1] > best:
-            keep[i] = True
-            best = M[i, 1]
-    return keep
-
-
-def _frontier_mask_nd(M: np.ndarray) -> np.ndarray:
-    """Pairwise dominance filter for d > 2 columns."""
-    n = M.shape[0]
-    idx = np.arange(n)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        ge = (M >= M[i]).all(axis=1)
-        gt = (M > M[i]).any(axis=1)
-        eq = (M == M[i]).all(axis=1)
-        dominators = ge & (gt | (eq & (idx < i)))
-        dominators[i] = False
-        if dominators.any():
-            keep[i] = False
-    return keep
-
-
 def frontier_mask(M: np.ndarray) -> np.ndarray:
     """Rows not dominated in the componentwise order.
 
     A row dominates another when it is >= everywhere and > somewhere;
-    rows that are exactly equal keep only the lowest index.
+    rows that are exactly equal keep only the lowest index.  Sort-filter
+    skyline: rows are visited in descending lexicographic order (index
+    last), so every dominator and every lower-index duplicate of a row
+    comes before it, and a row is kept iff no kept row is >= it on every
+    column.
     """
     M = np.asarray(M, dtype=float)
-    if M.shape[1] == 2:
-        return _frontier_mask_2(M)
-    return _frontier_mask_nd(M)
+    n = M.shape[0]
+    order = np.lexsort((np.arange(n),) + tuple(-M[:, j] for j in reversed(range(M.shape[1]))))
+    keep = np.zeros(n, dtype=bool)
+    kept = np.empty_like(M)
+    count = 0
+    for i in order:
+        if not (kept[:count] >= M[i]).all(axis=1).any():
+            keep[i] = True
+            kept[count] = M[i]
+            count += 1
+    return keep
 
 
 def skyline(D: Dataset) -> CandidateSet:

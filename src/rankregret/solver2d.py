@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, RegretResult, RestrictedSpace
+from .core import Dataset, RegretResult, RestrictedSpace, _min_ranks, _set_rows
 from .skyline import restricted_skyline
 
 
@@ -102,19 +102,6 @@ def dualize(D: Dataset, space: RestrictedSpace | None = None) -> list[DualLine]:
     ]
 
 
-def ranks_at(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Ranks of every dual line at every x, as an (n, len(xs)) matrix.
-
-    Ties at an exact crossing are broken by tuple index (stable sort)."""
-    intercept = values[:, 1]
-    slope = values[:, 0] - values[:, 1]
-    Y = intercept[:, None] + slope[:, None] * np.asarray(xs, dtype=float)[None, :]
-    order = np.argsort(-Y, axis=0, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, values.shape[0] + 1)[:, None], axis=0)
-    return ranks
-
-
 def _crossing(b1: float, s1: float, b2: float, s2: float) -> float | None:
     if s1 == s2:
         return None
@@ -127,15 +114,30 @@ def critical_xs(values: np.ndarray, rows: np.ndarray,
     lo, hi = interval
     intercept = values[:, 1]
     slope = values[:, 0] - values[:, 1]
-    xs = {float(lo), float(hi)}
-    for r in rows:
-        ds = slope[r] - slope
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = (intercept - intercept[r]) / ds
-        cand = cand[np.isfinite(cand)]
-        for x in cand[(cand >= lo) & (cand <= hi)]:
-            xs.add(float(x))
-    return np.asarray(sorted(xs))
+    parts = [np.array([lo, hi], dtype=float)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in rows:
+            cand = (intercept - intercept[r]) / (slope[r] - slope)
+            cand = cand[np.isfinite(cand)]
+            parts.append(cand[(cand >= lo) & (cand <= hi)])
+    return np.unique(np.concatenate(parts))
+
+
+def _line_scores(values: np.ndarray, xs: np.ndarray):
+    """Score-block function of the dual lines at the points ``xs``: row i
+    of a block holds every tuple's utility under (x_i, 1 - x_i), computed
+    as ``intercept + slope * x``."""
+    intercept = values[:, 1]
+    slope = values[:, 0] - values[:, 1]
+    xs = np.asarray(xs, dtype=float)
+    return lambda sl: intercept + slope * xs[sl, None]
+
+
+def _min_ranks_at(values: np.ndarray, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Best rank among the (sorted, 0-based) rows at every x of ``xs``,
+    ties to the lower tuple index.  Peak working memory is
+    O(``_BLOCK_CELLS``) scores plus the output."""
+    return _min_ranks(_line_scores(values, xs), len(xs), values.shape[0], rows)
 
 
 def exact_chain_rank(S, D: Dataset, interval: tuple[float, float] = (0.0, 1.0)) -> int:
@@ -143,19 +145,15 @@ def exact_chain_rank(S, D: Dataset, interval: tuple[float, float] = (0.0, 1.0)) 
 
     Ranks are piecewise constant between crossings, so evaluating at the
     endpoints, at every crossing involving a member of S, and at the
-    midpoints between consecutive critical points is exhaustive.
+    midpoints between consecutive critical points is exhaustive.  Peak
+    working memory is O(``_BLOCK_CELLS``) scores plus the critical points.
     """
     if D.d != 2:
         raise ValueError("exact_chain_rank requires d = 2")
-    rows = np.unique(np.asarray(list(S), dtype=int)) - 1
-    if rows.size == 0:
-        raise ValueError("tuple set must be nonempty")
-    if rows.min() < 0 or rows.max() >= D.n:
-        raise IndexError(f"tuple indices must lie in 1..{D.n}")
+    rows = _set_rows(S, D.n)
     pts = critical_xs(D.values, rows, interval)
     evals = np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0])
-    R = ranks_at(D.values, evals)
-    return int(R[rows].min(axis=0).max())
+    return int(_min_ranks_at(D.values, rows, evals).max())
 
 
 def solve_rrm_2d(D: Dataset, r: int, space: RestrictedSpace | None = None,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,21 @@ def random_dataset(n: int, d: int, seed: int) -> Dataset:
     """Un-normalized random dataset; fine for rank/solver properties."""
     vals = np.random.default_rng(seed).random((n, d))
     return Dataset(vals, normalized=False)
+
+
+def dual_order(values: np.ndarray, xs) -> np.ndarray:
+    """Rows top to bottom at each x, one column per x: a stable argsort of
+    the dual scores intercept + slope * x, so ties go to the lower index."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    y = values[:, 1][:, None] + (values[:, 0] - values[:, 1])[:, None] * xs[None, :]
+    return np.argsort(-y, axis=0, kind="stable")
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

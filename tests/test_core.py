@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankregret as rr
+from rankregret import core
 from rankregret.core import NORMALIZATION_TOL
 
 from conftest import random_dataset
@@ -269,3 +272,58 @@ def test_top_k_size_and_nesting(values, w, k):
     assert len(top) == len(set(top)) == k
     if k < D.n:
         assert set(top) < set(rr.top_k(u, k + 1, D))
+
+
+# Integer-grid rows with duplicates.  Integer utility vectors and dyadic x
+# keep every score exact, so the sort reference sees exactly the kernel's
+# ties.  Tiny block budgets force many score blocks, and one row per
+# block once n exceeds the budget.
+def grid_tables(d: int):
+    rows = st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                    min_size=1, max_size=12)
+    return rows.flatmap(lambda r: st.lists(st.sampled_from(r), max_size=4).flatmap(
+        lambda dup: st.permutations(r + dup)))
+
+
+block_budgets = st.sampled_from([1, 5, 1 << 21])
+
+
+def reference_min_rank(table_scores, S) -> int:
+    """Best rank among the 1-based members of S, by a Python sort on (-score, index)."""
+    order = sorted(range(len(table_scores)), key=lambda i: (-table_scores[i], i))
+    return min(order.index(t - 1) + 1 for t in S)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), cells=block_budgets)
+def test_min_rank_kernel_matches_sort_reference_hd(data, cells):
+    table = data.draw(grid_tables(3))
+    D = rr.Dataset(np.asarray(table, float), normalized=False)
+    vectors = data.draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
+        min_size=1, max_size=8))
+    S = data.draw(st.sets(st.integers(1, D.n), min_size=1, max_size=3))
+    want = [reference_min_rank([sum(a * b for a, b in zip(v, t)) for t in table], S)
+            for v in vectors]
+    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+        got = rr.min_ranks_for_vectors(D, np.asarray(vectors, float), S)
+        assert got.tolist() == want
+        for v, w in zip(vectors, want):
+            assert rr.rank_regret_of_set(np.asarray(v, float), S, D) == w
+            if len(S) == 1:
+                assert rr.rank(np.asarray(v, float), min(S), D) == w
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), cells=block_budgets)
+def test_min_rank_kernel_matches_sort_reference_2d(data, cells):
+    table = data.draw(grid_tables(2))
+    D = rr.Dataset(np.asarray(table, float), normalized=False)
+    S = data.draw(st.sets(st.integers(1, D.n), min_size=1, max_size=3))
+    xs = [k / 8 for k in range(9)]
+    want = [reference_min_rank([t[1] + (t[0] - t[1]) * x for t in table], S) for x in xs]
+    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+        for x, w in zip(xs, want):
+            assert rr.exact_chain_rank(S, D, (x, x)) == w
+        # np.linspace(0, 1, 9) is exactly the grid k / 8
+        assert rr.dense_grid_chain_rank(S, D, (0.0, 1.0), points=9) == max(want)

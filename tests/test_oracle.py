@@ -3,7 +3,7 @@ import pytest
 
 import rankregret as rr
 
-from conftest import random_dataset
+from conftest import dual_order, random_dataset, traced_peak
 
 
 class TestArcDataset:
@@ -18,9 +18,8 @@ class TestArcDataset:
     def test_all_tuples_are_skyline_and_top1_somewhere(self):
         D = rr.arc_dataset(40)
         assert len(rr.skyline(D)) == 40
-        from rankregret.solver2d import ranks_at
         xs = np.linspace(0, 1, 20001)
-        top = set(np.argmin(ranks_at(D.values, xs), axis=0).tolist())
+        top = set(dual_order(D.values, xs)[0].tolist())
         assert len(top) == 40
 
     def test_requires_two(self):
@@ -94,6 +93,13 @@ class TestDenseGridAgreement:
         D = random_dataset(15, 2, seed=70 + seed)
         S = list(np.random.default_rng(seed).choice(15, 3, replace=False) + 1)
         assert rr.exact_chain_rank(S, D) == rr.dense_grid_chain_rank(S, D)
+
+    def test_peak_memory_is_bounded(self):
+        # 20k grid points over 2000 lines: a full rank matrix would hold
+        # 40M cells; score blocks keep the peak far lower
+        D = rr.generate(rr.GenSpec("independent", 2000, 2, seed=4))
+        peak = traced_peak(lambda: rr.dense_grid_chain_rank(D.basis_indices, D, points=20_000))
+        assert peak < 96 * 2**20
 
 
 class TestSampledLowerBound:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankregret as rr
 
@@ -170,3 +172,19 @@ class TestCandidateReduction:
         for S in itertools.combinations(range(1, 13), 2):
             v = rr.exact_chain_rank(S, D)
             assert best_by_size[2] <= v
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(2, 4))
+def test_frontiers_match_pairwise_dominance_with_duplicates(data, d):
+    rows = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                              min_size=1, max_size=15))
+    dup = data.draw(st.lists(st.sampled_from(rows), max_size=5))
+    vals = np.asarray(data.draw(st.permutations(rows + dup)), dtype=float)
+    D = rr.Dataset(vals, normalized=False)
+    assert set(rr.skyline(D).indices) == pairwise_dominance_skyline(vals)
+    # the weak-ranking cone u1 >= ... >= ud >= 0 is spanned by the prefix
+    # indicator vectors, so restricted dominance is dominance of their scores
+    rays = np.tril(np.ones((d, d)))
+    got = rr.restricted_skyline(D, rr.RestrictedSpace.weak_ranking(d)).indices
+    assert set(got) == pairwise_dominance_skyline(vals @ rays.T)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import rankregret as rr
-from rankregret.solver2d import critical_xs, ranks_at
 
-from conftest import random_dataset
+from conftest import dual_order, random_dataset, traced_peak
 
 
 class TestDualize:
@@ -27,8 +26,7 @@ class TestDualize:
 
     def test_demo_rank_at_quarter(self, demo7):
         # one line lies above line 1 at x = 0.25, so its rank there is 2
-        R = ranks_at(demo7.values, np.array([0.25]))
-        assert R[0, 0] == 2
+        assert rr.exact_chain_rank([1], demo7, (0.25, 0.25)) == 2
 
     def test_single_tuple(self):
         D = rr.Dataset([[1.0, 1.0]])
@@ -50,8 +48,7 @@ class TestExactChainRank:
 
     def test_demo_chain_137(self, demo7):
         assert rr.exact_chain_rank([1, 3, 7], demo7) == 3
-        R = ranks_at(demo7.values, np.array([0.25]))
-        assert int(R[[0, 2, 6], 0].min()) == 2
+        assert rr.exact_chain_rank([1, 3, 7], demo7, (0.25, 0.25)) == 2
 
     def test_whole_dataset_is_one(self, demo7):
         assert rr.exact_chain_rank(range(1, 8), demo7) == 1
@@ -65,6 +62,13 @@ class TestExactChainRank:
     def test_empty_set_rejected(self, demo7):
         with pytest.raises(ValueError):
             rr.exact_chain_rank([], demo7)
+
+    def test_peak_memory_is_bounded(self):
+        # about 12k evaluation points over 3000 lines: a full rank matrix
+        # would hold 36M cells; score blocks keep the peak far lower
+        D = rr.generate(rr.GenSpec("independent", 3000, 2, seed=3))
+        peak = traced_peak(lambda: rr.exact_chain_rank(D.basis_indices, D))
+        assert peak < 96 * 2**20
 
 
 class TestRenderScene:
@@ -175,8 +179,7 @@ class TestSolveRrr2d:
     def test_k1_counts_top_contour(self, demo7):
         # minimum size at k=1 is the number of distinct top-1 tuples over x
         xs = np.linspace(0, 1, 20001)
-        R = ranks_at(demo7.values, xs)
-        contour = {int(i) + 1 for i in np.argmin(R, axis=0)}
+        contour = {int(i) + 1 for i in dual_order(demo7.values, xs)[0]}
         res = rr.solve_rrr_2d(demo7, 1)
         assert res.size == len(contour)
         assert rr.exact_chain_rank(res.selected_indices, demo7) == 1
@@ -238,8 +241,7 @@ class TestSweepInternals:
         xs = [st.sweep_x for st in events] + [1.0]
         for st, x_next in zip(events, xs[1:]):
             mid = (st.sweep_x + x_next) / 2
-            R = ranks_at(D.values, np.array([mid]))[:, 0]
-            by_rank = [int(i) + 1 for i in np.argsort(R, kind="stable")]
+            by_rank = [int(i) + 1 for i in dual_order(D.values, mid)[:, 0]]
             assert list(st.order) == by_rank
 
     def test_dp_soundness_along_optimal_chain(self):
