@@ -5,7 +5,9 @@ skyline without increasing its worst-case rank-regret, so the solvers
 only ever search skyline tuples.  Dominance with respect to a restricted
 space is decided at the cone's extreme rays: the score difference of two
 tuples is linear in u, so its sign over a polyhedral cone is determined
-by the rays alone.
+by the rays alone.  For the top K the K-skyband (``skyband``) is the
+candidate set: a tuple that K others outrank on every ray never reaches
+a top K anywhere in the cone.
 """
 
 from __future__ import annotations
@@ -34,6 +36,52 @@ class CandidateSet:
         return iter(self.indices)
 
 
+# rows per step of the sort-filter: rows kept before a chunk are
+# compared with the whole chunk in one array operation
+_CHUNK = 64
+
+
+def _sort_filter(M: np.ndarray, K: int, beats) -> np.ndarray:
+    """Rows that fewer than K kept rows beat, visiting rows in descending
+    lexicographic order of their columns, index last.
+
+    ``beats(A, a_rows, B, b_rows)`` is the len(B) x len(A) boolean matrix
+    of "row a beats row b".  Rows go through in chunks: the count of rows
+    kept before a chunk is taken for the whole chunk at once, and only the
+    rows it leaves under K are checked one by one against the rows the
+    chunk has kept so far, so the result is that of the row-by-row loop.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    order = np.lexsort((np.arange(n),) + tuple(-M[:, j] for j in reversed(range(M.shape[1]))))
+    keep = np.zeros(n, dtype=bool)
+    kept = np.empty_like(M)
+    kept_row = np.empty(n, dtype=np.int64)
+    count = 0
+    for start in range(0, n, _CHUNK):
+        chunk = order[start:start + _CHUNK]
+        beaten = beats(kept[:count], kept_row[:count], M[chunk], chunk).sum(axis=1)
+        first = count
+        for i, before in zip(chunk[beaten < K], beaten[beaten < K]):
+            inside = beats(kept[first:count], kept_row[first:count], M[i:i + 1], [i]).sum()
+            if before + inside < K:
+                keep[i] = True
+                kept[count] = M[i]
+                kept_row[count] = i
+                count += 1
+    return keep
+
+
+def _covers(A, a_rows, B, b_rows) -> np.ndarray:
+    return (A[None, :, :] >= B[:, None, :]).all(axis=2)
+
+
+def _outranks(A, a_rows, B, b_rows) -> np.ndarray:
+    ge = (A[None, :, :] >= B[:, None, :]).all(axis=2)
+    gt = (A[None, :, :] > B[:, None, :]).all(axis=2)
+    return ge & (gt | (a_rows[None, :] < np.asarray(b_rows)[:, None]))
+
+
 def frontier_mask(M: np.ndarray) -> np.ndarray:
     """Rows not dominated in the componentwise order.
 
@@ -44,18 +92,31 @@ def frontier_mask(M: np.ndarray) -> np.ndarray:
     comes before it, and a row is kept iff no kept row is >= it on every
     column.
     """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    order = np.lexsort((np.arange(n),) + tuple(-M[:, j] for j in reversed(range(M.shape[1]))))
-    keep = np.zeros(n, dtype=bool)
-    kept = np.empty_like(M)
-    count = 0
-    for i in order:
-        if not (kept[:count] >= M[i]).all(axis=1).any():
-            keep[i] = True
-            kept[count] = M[i]
-            count += 1
-    return keep
+    return _sort_filter(M, 1, _covers)
+
+
+def skyband(M: np.ndarray, K: int) -> np.ndarray:
+    """Rows that fewer than K other rows outrank: the K-skyband.
+
+    Row a outranks row t when ``M[a] > M[t]`` on every column, or
+    ``M[a] >= M[t]`` on every column and a has the lower index.  When
+    the columns are scores at a cone's extreme rays, every score in the
+    cone is a nonnegative combination of them, so a then ranks above t
+    at every utility vector of the cone under the index tie rule, and a
+    row that K rows outrank is never in a top K.  Pareto dominance would
+    not do: a dominator that ties t on one ray ranks below t there when
+    its index is higher, so the band is not a count of dominators.
+
+    Outranking is transitive and the presort of ``frontier_mask`` visits
+    every outranker of a row before the row, so a row that K rows
+    outrank has K kept outrankers, and counting kept rows only is exact.
+    A row of ``frontier_mask(M)`` has no outranker, so it lies inside
+    every band.
+    """
+    n = np.shape(M)[0]
+    if K >= n:
+        return np.ones(n, dtype=bool)
+    return _sort_filter(M, K, _outranks)
 
 
 def skyline(D: Dataset) -> CandidateSet:

@@ -54,6 +54,9 @@ class TestSolve:
         assert data["rank_regret"] == 3
         assert data["size"] == 1
         assert data["params"]["config"]["algo"] == "2d"
+        # optimum 3 first fits the band at K = 4, which holds all 7 tuples
+        assert data["params"]["band_k"] == 4
+        assert data["params"]["band_size"] == 7
 
     def test_2d_refused_for_d3(self, d3_csv):
         code, _, err = run(["solve", "--algo", "2d", "--r", "2", "--input", d3_csv])
@@ -112,6 +115,8 @@ class TestRrr:
         assert code == 0
         data = json.loads(out)
         assert data["indices"] == [3] and data["size"] == 1
+        assert data["params"]["band_k"] == 3
+        assert data["params"]["band_size"] == 5
 
     def test_hd(self, d3_csv):
         code, out, _ = run(["rrr", "--algo", "hd", "--k", "6", "--input", d3_csv,

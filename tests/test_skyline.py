@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankregret as rr
+from rankregret.skyline import frontier_mask, skyband
 
 from conftest import random_dataset
 
@@ -188,3 +189,42 @@ def test_frontiers_match_pairwise_dominance_with_duplicates(data, d):
     rays = np.tril(np.ones((d, d)))
     got = rr.restricted_skyline(D, rr.RestrictedSpace.weak_ranking(d)).indices
     assert set(got) == pairwise_dominance_skyline(vals @ rays.T)
+
+
+def outrank_counts(M: np.ndarray) -> list[int]:
+    """Rows outranking each row: > on every column, or >= on every column
+    with the lower index; the O(n^2) reference for ``skyband``."""
+    n = len(M)
+    return [sum(1 for a in range(n) if a != t and (
+        (M[a] > M[t]).all() or ((M[a] >= M[t]).all() and a < t))) for t in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(2, 4), K=st.integers(1, 6), weak=st.booleans())
+def test_skyband_matches_outrank_count(data, d, K, weak):
+    rows = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                              min_size=1, max_size=15))
+    dup = data.draw(st.lists(st.sampled_from(rows), max_size=5))
+    vals = np.asarray(data.draw(st.permutations(rows + dup)), dtype=float)
+    # scores at the rays of the full space or of the weak-ranking cone;
+    # small integers make ties on single rays common
+    rays = np.tril(np.ones((d, d))) if weak else np.eye(d)
+    M = vals @ rays.T
+    band = skyband(M, K)
+    assert set(np.flatnonzero(band)) == {t for t, c in enumerate(outrank_counts(M)) if c < K}
+    assert not (frontier_mask(M) & ~skyband(M, 1)).any()
+    # every top-K tuple at a grid of cone vectors lies in the band
+    D = rr.Dataset(vals, normalized=False)
+    for w in itertools.product(range(3), repeat=d):
+        if any(w):
+            u = np.asarray(w, dtype=float) @ rays
+            top = [i for i in range(1, D.n + 1) if rr.rank(u, i, D) <= K]
+            assert band[np.asarray(top) - 1].all()
+
+
+def test_skyband_is_not_dominator_count():
+    # row 1 dominates row 0 but ties it on the first column with the
+    # higher index, so row 0 ranks first at u = (1, 0): it has no outranker
+    M = np.array([[1.0, 0.0], [1.0, 1.0]])
+    assert frontier_mask(M).tolist() == [False, True]
+    assert skyband(M, 1).tolist() == [True, True]

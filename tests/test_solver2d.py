@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankregret as rr
 
@@ -292,3 +294,97 @@ class TestSweepInternals:
         assert all(st.sweep_x == 0.5 for st in events)
         ref = rr.exhaustive_rrm(D, 2)
         assert res.rank_regret == ref.optimal_value == 2
+
+
+def _full_sweep(D, r, space=None):
+    """The sweep over every line: a trace callback turns the band off."""
+    return rr.solve_rrm_2d(D, r, space, trace=lambda state: None)
+
+
+class TestSkybandSweep:
+    """The sweep over the K-skyband against the sweep over every line."""
+
+    SPACES = (None, rr.RestrictedSpace(((1.0, -1.0),)))
+
+    @pytest.mark.parametrize("family", ["independent", "anti-correlated"])
+    def test_rrm_matches_full_sweep(self, family):
+        pruned = 0
+        for seed in range(3):
+            D = rr.generate(rr.GenSpec(family, 60, 2, seed=1500 + seed))
+            for space in self.SPACES:
+                for r in (1, 2, 4):
+                    res, ref = rr.solve_rrm_2d(D, r, space), _full_sweep(D, r, space)
+                    assert (res.selected_indices, res.rank_regret) == \
+                        (ref.selected_indices, ref.rank_regret)
+                    pruned += res.solver_params["band_size"] < D.n
+        assert pruned > 0
+
+    @pytest.mark.parametrize("family", ["independent", "anti-correlated"])
+    def test_rrr_matches_smallest_full_sweep_budget(self, family):
+        for seed in range(3):
+            D = rr.generate(rr.GenSpec(family, 60, 2, seed=1600 + seed))
+            for space in self.SPACES:
+                for k in (1, 3, 6):
+                    res = rr.solve_rrr_2d(D, k, space)
+                    ref = next(out for out in (_full_sweep(D, r, space)
+                                               for r in range(1, D.n + 1))
+                               if out.rank_regret <= k)
+                    assert (res.selected_indices, res.rank_regret) == \
+                        (ref.selected_indices, ref.rank_regret)
+                    assert res.solver_params["r"] == ref.solver_params["r"]
+                    assert res.solver_params["band_k"] == k
+
+    @pytest.mark.parametrize("family", ["independent", "anti-correlated"])
+    def test_events_scale_with_the_band(self, family):
+        # the whole arrangement has about 2e8 crossings; the band's are few
+        D = rr.generate(rr.GenSpec(family, 20_000, 2, seed=1700))
+        res = rr.solve_rrm_2d(D, 5)
+        assert res.solver_params["events"] < 20_000
+        assert res.solver_params["band_size"] < 1000
+        assert res.rank_regret <= res.solver_params["band_k"]
+
+    def test_band_keeps_lines_tied_at_an_end(self):
+        # the lines meet at x = 1, but their crossing comes out as 1 - 1ulp,
+        # where the float scores put tuple 2 level with tuple 1; the band
+        # must keep tuple 2 to agree with exact_chain_rank there
+        D = rr.Dataset([[1.0, 0.3], [1.0, 0.0]], normalized=False)
+        res = rr.solve_rrm_2d(D, 1)
+        assert res.solver_params["band_size"] == 2
+        assert res.rank_regret == rr.exact_chain_rank(res.selected_indices, D)
+
+
+def _tied_values(data):
+    """Integer-grid or one-decimal 2D tables with duplicate rows."""
+    scale = data.draw(st.sampled_from([4, 10]))
+    rows = data.draw(st.lists(st.tuples(st.integers(0, scale), st.integers(0, scale)),
+                              min_size=1, max_size=8))
+    dup = data.draw(st.lists(st.sampled_from(rows), max_size=4))
+    vals = np.asarray(data.draw(st.permutations(rows + dup)), dtype=float)
+    return vals / 10.0 if scale == 10 else vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), weak=st.booleans())
+def test_tied_data_returns_verified_values_or_raises(data, weak):
+    D = rr.Dataset(_tied_values(data), normalized=False)
+    space = rr.RestrictedSpace.weak_ranking(2) if weak else None
+    interval = rr.render_scene(space)
+    r = data.draw(st.integers(1, min(3, D.n)))
+    try:
+        res = rr.solve_rrm_2d(D, r, space)
+    except AssertionError:
+        pass
+    else:
+        assert res.size <= r
+        assert res.rank_regret == rr.exact_chain_rank(res.selected_indices, D, interval)
+    k = data.draw(st.integers(1, D.n))
+    try:
+        res = rr.solve_rrr_2d(D, k, space)
+    except AssertionError:
+        pass
+    except ValueError:
+        sky = rr.restricted_skyline(D, space).indices
+        assert rr.exact_chain_rank(sky, D, interval) > k
+    else:
+        assert res.rank_regret == rr.exact_chain_rank(res.selected_indices, D, interval)
+        assert res.rank_regret <= k
