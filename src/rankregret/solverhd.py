@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, RegretResult, RestrictedSpace, min_ranks_for_vectors
+from .core import (Dataset, RegretResult, RestrictedSpace, _score_blocks,
+                   min_ranks_for_vectors)
 from .skyline import basis
 
 SAMPLE_CAP = 1_000_000
-_ORDER_CACHE_LIMIT = 300_000_000  # max vectors*n entries for the precomputed sort
 
 
 class ConeSamplingError(RuntimeError):
@@ -251,37 +251,97 @@ class CoverStructure:
     k: int
 
 
-def _descending_order(D: Dataset, vectors: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Per-vector descending tuple order with the index tie rule."""
-    N = vectors.shape[0]
-    out = np.empty((N, D.n), dtype=np.int32)
-    for lo in range(0, N, chunk):
-        sc = vectors[lo:lo + chunk] @ D.values.T
-        out[lo:lo + chunk] = np.argsort(-sc, axis=1, kind="stable")
+def _descending_order(D: Dataset, vectors: np.ndarray, K: int) -> np.ndarray:
+    """First K columns of every vector's descending tuple order, score ties
+    to the lower index: exactly ``np.argsort(-scores, axis=1,
+    kind="stable")[:, :K]``.
+
+    Each score block is partitioned to its top K and only that prefix is
+    sorted.  A row with two equal scores in the prefix is re-sorted
+    stably from index order; a row whose K-th score also occurs outside
+    the prefix, where the partition chose among the tied tuples
+    arbitrarily, is sorted stably in full.  Peak working memory is
+    O(``_BLOCK_CELLS``) cells whatever K is, plus the N x K output.
+    """
+    V = np.atleast_2d(np.asarray(vectors, dtype=float))
+    if not 1 <= K <= D.n:
+        raise ValueError(f"order width K must be in 1..{D.n}, got {K}")
+
+    def negated_scores(sl):
+        block = V[sl] @ D.values.T
+        return np.negative(block, out=block)
+
+    out = np.empty((V.shape[0], K), dtype=np.int32)
+    # A block row holds its n scores and either their partition (16n bytes)
+    # or about six K-wide arrays (48K bytes).  Sizing blocks on n + 3K cells
+    # keeps a block's peak near 16 * _BLOCK_CELLS bytes for every K, so the
+    # memory of a solve does not depend on how deep its thresholds go.
+    for sl, neg in _score_blocks(negated_scores, V.shape[0], D.n + 3 * K):
+        # int32 indices keep the working set small when K is close to n
+        top = np.argpartition(neg, K - 1, axis=1)[:, :K].astype(np.int32)
+        top_neg = _take_rows(neg, top)
+        pos = np.argsort(top_neg, axis=1)
+        rows = _take_rows(top, pos)
+        sorted_neg = _take_rows(top_neg, pos)
+        tied = np.flatnonzero((sorted_neg[:, 1:] == sorted_neg[:, :-1]).any(axis=1))
+        if tied.size:
+            by_index = np.sort(top[tied], axis=1)
+            keys = _take_rows(neg[tied], by_index)
+            rows[tied] = _take_rows(by_index, np.argsort(keys, axis=1, kind="stable"))
+        spill = np.flatnonzero(np.count_nonzero(neg <= sorted_neg[:, K - 1:], axis=1) > K)
+        if spill.size:
+            rows[spill] = np.argsort(neg[spill], axis=1, kind="stable")[:, :K]
+        out[sl] = rows
     return out
+
+
+def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[i, idx[i, j]]`` for every i and j: ``np.take_along_axis`` on
+    axis 1 as one flat gather, about twice as fast."""
+    return a.reshape(-1)[idx + a.shape[1] * np.arange(a.shape[0])[:, None]]
+
+
+def _uncovered_top_k(D: Dataset, k: int, basis_indices, disc: Discretization,
+                     order: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors whose top-k holds no basis tuple, and those top-k rows.
+
+    Row i of the returned matrix holds the 0-based tuples that cover
+    vector ``uncovered_ids[i]``: its entries are the (tuple, vector)
+    pairs of the cover instance.  ``order`` is a descending order prefix
+    of every vector (``_descending_order``) at least k wide.
+    """
+    if not 1 <= k <= D.n:
+        raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
+    if order is None:
+        order = _descending_order(D, disc.vectors, k)
+    elif np.ndim(order) != 2 or order.shape[0] != disc.size or order.shape[1] < k:
+        raise ValueError(f"order must have {disc.size} rows and at least k={k} "
+                         f"columns, got shape {np.shape(order)}")
+    topk = order[:, :k]
+    in_basis = np.zeros(D.n, dtype=bool)
+    in_basis[np.asarray(sorted(basis_indices), dtype=int) - 1] = True
+    uncovered_ids = np.flatnonzero(~in_basis[topk].any(axis=1))
+    return uncovered_ids, topk[uncovered_ids]
 
 
 def build_cover(D: Dataset, k: int, basis_indices, disc: Discretization,
                 order: np.ndarray | None = None) -> CoverStructure:
-    """Top-k membership of every vector, reduced by the basis tuples."""
-    if not 1 <= k <= D.n:
-        raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
-    if order is None:
-        order = _descending_order(D, disc.vectors)
-    topk = order[:, :k]
-    basis_rows = np.asarray(sorted(basis_indices), dtype=int) - 1
-    covered = np.isin(topk, basis_rows).any(axis=1)
-    uncovered_ids = np.flatnonzero(~covered)
+    """Top-k membership of every vector, reduced by the basis tuples.
+
+    ``order`` optionally supplies the vectors' descending order prefix,
+    at least k columns wide; without it the prefix is computed here.
+    """
+    uncovered_ids, rows = _uncovered_top_k(D, k, basis_indices, disc, order)
     cover_sets: dict[int, np.ndarray] = {}
     if uncovered_ids.size:
-        flat_t = topk[uncovered_ids].ravel()
+        flat_t = rows.ravel()
         flat_u = np.repeat(uncovered_ids, k)
         by_tuple = np.argsort(flat_t, kind="stable")
         flat_t = flat_t[by_tuple]
         flat_u = flat_u[by_tuple]
-        rows, starts = np.unique(flat_t, return_index=True)
+        tuples, starts = np.unique(flat_t, return_index=True)
         bounds = np.append(starts, flat_t.size)
-        for i, row in enumerate(rows):
+        for i, row in enumerate(tuples):
             cover_sets[int(row) + 1] = flat_u[bounds[i]:bounds[i + 1]]
     return CoverStructure(uncovered_ids, cover_sets, k)
 
@@ -292,25 +352,17 @@ def greedy_min_superset(D: Dataset, k: int, basis_indices, disc: Discretization,
 
     Classic greedy set cover: repeatedly take the tuple covering the most
     still-uncovered vectors (ties to the lowest index), so the extra
-    tuples are within a 1+ln|uncovered| factor of the minimum.
+    tuples are within a 1+ln|uncovered| factor of the minimum.  Each pick
+    counts the (tuple, vector) pairs of the uncovered vectors at once and
+    then drops the pairs of the vectors it covered.  ``order`` is as in
+    ``build_cover``.
     """
-    cover = build_cover(D, k, basis_indices, disc, order)
+    _, rows = _uncovered_top_k(D, k, basis_indices, disc, order)
     chosen: list[int] = []
-    uncovered = np.zeros(disc.size, dtype=bool)
-    uncovered[cover.uncovered_ids] = True
-    remaining = int(uncovered.sum())
-    items = sorted(cover.cover_sets.items())
-    while remaining > 0:
-        best_t, best_c = -1, 0
-        for t, ids in items:
-            c = int(uncovered[ids].sum())
-            if c > best_c:
-                best_t, best_c = t, c
-        if best_t < 0:
-            raise AssertionError("uncoverable vector despite nonempty top-k sets")
-        chosen.append(best_t)
-        uncovered[cover.cover_sets[best_t]] = False
-        remaining = int(uncovered.sum())
+    while rows.shape[0]:
+        best = int(np.argmax(np.bincount(rows.ravel())))
+        chosen.append(best + 1)
+        rows = rows[~(rows == best).any(axis=1)]
     return tuple(sorted(set(basis_indices) | set(chosen)))
 
 
@@ -319,40 +371,56 @@ def discrete_rank_regret(S, D: Dataset, disc: Discretization) -> int:
     return int(min_ranks_for_vectors(D, disc.vectors, S).max())
 
 
-def _prepare(D: Dataset, params: HdParams, space, direction_sampler):
-    d, n = D.d, D.n
-    if params.r > n:
-        raise ValueError(f"budget r={params.r} exceeds the dataset size {n}")
-    if params.r < d:
-        raise ValueError(f"budget r={params.r} cannot fit the basis (r >= d={d} required)")
-    m = params.sample_size(n, d)
-    disc = build_discretization(d, params.gamma, m, params.seed, space, direction_sampler)
-    order = None
-    if disc.size * n <= _ORDER_CACHE_LIMIT:
-        order = _descending_order(D, disc.vectors)
-    return disc, order, m
+class _HdInstance:
+    """One HD problem prepared for many cover calls: the dataset, its
+    basis, the discretization with its sample size m, and an exact
+    descending order prefix of every discretization vector.
 
-
-def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = None,
-                 direction_sampler=None, *, _prepared=None) -> RegretResult:
-    """Budget-r rank-regret minimization over the discretized utility set.
-
-    Doubles the threshold k until the greedy cover fits the budget, then
-    binary-searches the preceding range for the smallest threshold that
-    still fits.  The reported rank_regret is that threshold; the direct
-    cover check on the returned set is re-verified before returning.
+    The prefix is built on first use ``max(k, ceil(n / log2(n + 1)))``
+    wide: its partition pass costs O(N n) whatever the width K, its sort
+    O(N K log K), and the two meet near n / log n.  A later threshold
+    beyond the width rebuilds it at least twice as wide.
     """
-    B = basis(D).indices
-    if _prepared is None:
-        disc, order, m = _prepare(D, params, space, direction_sampler)
-    else:
-        disc, order, m = _prepared
-        if params.r > D.n or params.r < D.d:
-            raise ValueError(f"budget r={params.r} must lie in {D.d}..{D.n}")
+
+    def __init__(self, D: Dataset, params: HdParams, space, direction_sampler):
+        d, n = D.d, D.n
+        if params.r > n:
+            raise ValueError(f"budget r={params.r} exceeds the dataset size {n}")
+        if params.r < d:
+            raise ValueError(f"budget r={params.r} cannot fit the basis (r >= d={d} required)")
+        self.D = D
+        self.params = params
+        self.space = space
+        self.basis = basis(D).indices
+        self.m = params.sample_size(n, d)
+        self.disc = build_discretization(d, params.gamma, self.m, params.seed, space,
+                                         direction_sampler)
+        self.order: np.ndarray | None = None
+
+    @property
+    def order_width(self) -> int:
+        return 0 if self.order is None else self.order.shape[1]
+
+    def order_for(self, k: int) -> np.ndarray | None:
+        """The order prefix, first rebuilt wider when it has fewer than k columns."""
+        width = self.order_width
+        if k > width:
+            n = self.D.n
+            floor = 2 * width if width else math.ceil(n / math.log2(n + 1))
+            self.order = None  # free the narrower prefix before building the wider one
+            self.order = _descending_order(self.D, self.disc.vectors,
+                                           min(max(k, floor), n))
+        return self.order
+
+
+def _search(inst: _HdInstance, r: int) -> RegretResult:
+    """Smallest threshold whose greedy cover on the instance fits budget r."""
+    D, disc, B = inst.D, inst.disc, inst.basis
     n = D.n
     calls: list[tuple[int, int]] = []
 
     def run(k: int) -> tuple[int, ...]:
+        order = inst.order_for(k)
         Q = greedy_min_superset(D, k, B, disc, order)
         calls.append((k, len(Q)))
         return Q
@@ -361,7 +429,7 @@ def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = N
     prev_fail = 0
     while True:
         Q = run(k)
-        if len(Q) <= params.r:
+        if len(Q) <= r:
             break
         prev_fail = k
         if k >= n:
@@ -372,7 +440,7 @@ def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = N
     while lo < hi:
         mid = (lo + hi) // 2
         Q = run(mid)
-        if len(Q) <= params.r:
+        if len(Q) <= r:
             hi = mid
             best_k, best_Q = mid, Q
         else:
@@ -383,22 +451,38 @@ def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = N
         raise AssertionError(
             f"cover check failed: discrete rank-regret {verified} exceeds {best_k}"
         )
+    params, space = inst.params, inst.space
     solver_params = {
         "algo": "hd",
-        "r": params.r,
+        "r": r,
         "gamma": params.gamma,
         "delta": params.delta_fail,
-        "m": m,
+        "m": inst.m,
         "seed": params.seed,
         "epsilon_utility": params.epsilon_utility(D.d),
         "grid_size": int(disc.grid_part.shape[0]),
         "discretization_size": disc.size,
         "discrete_rank_regret": verified,
         "cover_calls": calls,
+        "order_width": inst.order_width,
         "basis": list(B),
         "halfspaces": [list(h) for h in (space.halfspaces if space else ())],
     }
     return RegretResult(best_Q, len(best_Q), best_k, solver_params)
+
+
+def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = None,
+                 direction_sampler=None) -> RegretResult:
+    """Budget-r rank-regret minimization over the discretized utility set.
+
+    Doubles the threshold k until the greedy cover fits the budget, then
+    binary-searches the preceding range for the smallest threshold that
+    still fits.  The reported rank_regret is that threshold; the direct
+    cover check on the returned set is re-verified before returning.
+    ``solver_params["order_width"]`` is the width of the order prefix the
+    solve ended with.
+    """
+    return _search(_HdInstance(D, params, space, direction_sampler), params.r)
 
 
 def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
@@ -407,25 +491,25 @@ def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
     """Smallest budget whose solver output reaches worst-case threshold k.
 
     Doubles the budget r starting from the basis size, then binary-searches;
-    the discretization is built once and shared across calls.
+    every attempt runs on one prepared instance, so the discretization and
+    the order prefix are built once and shared.  A budget of just the basis
+    is decided by the basis's discrete rank-regret: its cover fits exactly
+    the thresholds from that value on, so when that value exceeds k the
+    attempt fails without a threshold search, whose depth would otherwise
+    widen the shared prefix far beyond what the later attempts need.
     """
     if not 1 <= k <= D.n:
         raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
-    B = basis(D).indices
+    inst = _HdInstance(D, params, space, direction_sampler)
     n = D.n
-    prepared = _prepare(D, params, space, direction_sampler)
 
-    def attempt(r: int) -> RegretResult:
-        p = HdParams(r=r, gamma=params.gamma, delta_fail=params.delta_fail,
-                     m=params.m, seed=params.seed)
-        return solve_rrm_hd(D, p, space, direction_sampler, _prepared=prepared)
-
-    r = max(len(B), D.d)
+    r = max(len(inst.basis), D.d)
     prev_fail = r - 1
     while True:
-        res = attempt(r)
-        if res.rank_regret <= k:
-            break
+        if r > len(inst.basis) or discrete_rank_regret(inst.basis, D, inst.disc) <= k:
+            res = _search(inst, r)
+            if res.rank_regret <= k:
+                break
         prev_fail = r
         if r >= n:
             raise AssertionError("budget n must reach threshold 1")
@@ -434,14 +518,14 @@ def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
     lo, hi = prev_fail + 1, r
     while lo < hi:
         mid = (lo + hi) // 2
-        res = attempt(mid)
+        res = _search(inst, mid)
         if res.rank_regret <= k:
             hi = mid
             best = res
         else:
             lo = mid + 1
     params_out = dict(best.solver_params)
-    params_out.update({"algo": "hd-rrr", "k": k})
+    params_out.update({"algo": "hd-rrr", "k": k, "order_width": inst.order_width})
     return RegretResult(best.selected_indices, best.size, best.rank_regret, params_out)
 
 
@@ -454,10 +538,12 @@ def linear_scan_cover_sizes(D: Dataset, params: HdParams,
     doubling-plus-binary search is checked against this scan; any
     non-monotone pair is reported, never raised.
     """
-    B = basis(D).indices
-    disc, order, m = _prepare(D, params, space, direction_sampler)
+    inst = _HdInstance(D, params, space, direction_sampler)
     ks = list(range(1, D.n + 1)) if ks is None else sorted(set(int(k) for k in ks))
-    sizes = [(k, len(greedy_min_superset(D, k, B, disc, order))) for k in ks]
+    sizes = []
+    for k in ks:
+        order = inst.order_for(k)
+        sizes.append((k, len(greedy_min_superset(D, k, inst.basis, inst.disc, order))))
     smallest_fit = next((k for k, s in sizes if s <= params.r), None)
     non_monotone = [
         (sizes[i][0], sizes[i + 1][0])
@@ -468,5 +554,5 @@ def linear_scan_cover_sizes(D: Dataset, params: HdParams,
         "sizes": sizes,
         "smallest_fit_k": smallest_fit,
         "non_monotone_pairs": non_monotone,
-        "m": m,
+        "m": inst.m,
     }

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rankregret import Dataset
 
@@ -50,3 +51,17 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def grid_tables(d: int):
+    """Integer-grid rows with duplicates, in any order: exact score ties
+    inside a table and across any rank position."""
+    rows = st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
+                    min_size=1, max_size=12)
+    return rows.flatmap(lambda r: st.lists(st.sampled_from(r), max_size=4).flatmap(
+        lambda dup: st.permutations(r + dup)))
+
+
+# Score-block budgets (core._BLOCK_CELLS): tiny ones force many blocks, and
+# one row per block once n exceeds the budget.
+block_budgets = st.sampled_from([1, 5, 1 << 21])

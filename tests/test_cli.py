@@ -71,6 +71,9 @@ class TestSolve:
         assert data["size"] <= 4
         assert data["params"]["m"] == 60
         assert data["params"]["config"]["seed"] == 5
+        # first prefix width ceil(40 / log2(41)) = 8; no threshold above 8 is tested
+        assert max(k for k, _ in data["params"]["cover_calls"]) == 8
+        assert data["params"]["order_width"] == 8
 
     def test_restrict_file(self, demo_csv, tmp_path):
         spath = tmp_path / "space.json"
@@ -124,6 +127,9 @@ class TestRrr:
         assert code == 0
         data = json.loads(out)
         assert data["rank_regret"] <= 6
+        # the basis-only budget reaches only k = 16, but it is decided by the
+        # basis's rank-regret without a search, so the first width 8 suffices
+        assert data["params"]["order_width"] == 8
 
 
 class TestEval:

@@ -9,7 +9,7 @@ import rankregret as rr
 from rankregret import core
 from rankregret.core import NORMALIZATION_TOL
 
-from conftest import random_dataset
+from conftest import block_budgets, grid_tables, random_dataset
 
 
 class TestDataset:
@@ -274,20 +274,8 @@ def test_top_k_size_and_nesting(values, w, k):
         assert set(top) < set(rr.top_k(u, k + 1, D))
 
 
-# Integer-grid rows with duplicates.  Integer utility vectors and dyadic x
-# keep every score exact, so the sort reference sees exactly the kernel's
-# ties.  Tiny block budgets force many score blocks, and one row per
-# block once n exceeds the budget.
-def grid_tables(d: int):
-    rows = st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d),
-                    min_size=1, max_size=12)
-    return rows.flatmap(lambda r: st.lists(st.sampled_from(r), max_size=4).flatmap(
-        lambda dup: st.permutations(r + dup)))
-
-
-block_budgets = st.sampled_from([1, 5, 1 << 21])
-
-
+# Integer utility vectors and dyadic x keep every score of the integer-grid
+# tables exact, so the sort reference sees exactly the kernel's ties.
 def reference_min_rank(table_scores, S) -> int:
     """Best rank among the 1-based members of S, by a Python sort on (-score, index)."""
     order = sorted(range(len(table_scores)), key=lambda i: (-table_scores[i], i))

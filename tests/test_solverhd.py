@@ -1,13 +1,18 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankregret as rr
+from rankregret import core
 from rankregret.datagen import GenSpec, generate
-from rankregret.solverhd import HdParams, NetBoundParams, net_bound_value
+from rankregret.solverhd import HdParams, NetBoundParams, _descending_order, net_bound_value
 
-from conftest import random_dataset
+from conftest import block_budgets, grid_tables, random_dataset, traced_peak
 
 
 class TestPolarGrid:
@@ -105,6 +110,84 @@ class TestDiscretization:
         space = rr.RestrictedSpace.weak_ranking(3)
         disc = rr.build_discretization(3, 3, 40, seed=1, space=space)
         assert space.membership_mask(disc.vectors).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), cells=block_budgets)
+def test_order_prefix_matches_stable_argsort(data, cells):
+    # integer tables and vectors keep every score exact, so ties fall
+    # inside the prefix and across its K-th position
+    d = data.draw(st.integers(2, 4))
+    D = rr.Dataset(np.asarray(data.draw(grid_tables(d)), float), normalized=False)
+    V = np.asarray(data.draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(any),
+        min_size=1, max_size=8)), float)
+    want = np.argsort(-(V @ D.values.T), axis=1, kind="stable")
+    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+        for K in range(1, D.n + 1):
+            assert np.array_equal(_descending_order(D, V, K), want[:, :K])
+
+
+@pytest.mark.parametrize("K", [1, 500, 2000])
+def test_order_prefix_working_memory_does_not_grow_with_width(K):
+    # beyond its N x K output the build holds about two score blocks for
+    # every width, so a deep threshold costs no more than a shallow one
+    D = generate(GenSpec("independent", 2000, 3, seed=3))
+    V = rr.sample_sphere(3, 4000, 5)
+    out = []
+    peak = traced_peak(lambda: out.append(_descending_order(D, V, K)))
+    assert peak - out[0].nbytes < 2.5 * 8 * core._BLOCK_CELLS
+
+
+def reference_greedy(D, k, basis_indices, disc):
+    """The per-tuple loop greedy over top-k sets taken from a full stable
+    sort: each pick scans every candidate tuple for the most uncovered
+    vectors, ties to the lowest index."""
+    order = np.argsort(-(disc.vectors @ D.values.T), axis=1, kind="stable")[:, :k]
+    basis_rows = np.asarray(sorted(basis_indices), dtype=int) - 1
+    uncovered = ~np.isin(order, basis_rows).any(axis=1)
+    cover_sets: dict[int, list[int]] = {}
+    for u in np.flatnonzero(uncovered):
+        for t in order[u]:
+            cover_sets.setdefault(int(t) + 1, []).append(int(u))
+    chosen = []
+    while uncovered.any():
+        best_t, best_c = -1, 0
+        for t, ids in sorted(cover_sets.items()):
+            c = int(uncovered[ids].sum())
+            if c > best_c:
+                best_t, best_c = t, c
+        chosen.append(best_t)
+        uncovered[cover_sets[best_t]] = False
+    return tuple(sorted(set(basis_indices) | set(chosen)))
+
+
+@pytest.mark.parametrize("space", [None, rr.RestrictedSpace.weak_ranking(3)])
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_matches_loop_reference_on_tied_data(seed, space):
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(0, 5, size=(30, 3))
+    vals = np.vstack([[4, 4, 4], rows, rows[gen.integers(0, 30, 30)]]) / 4.0
+    D = rr.Dataset(vals[gen.permutation(len(vals))])
+    disc = rr.build_discretization(3, 3, 150, seed=seed, space=space)
+    for k in (1, 2, 3, 5, 8, 13):
+        want = reference_greedy(D, k, D.basis_indices, disc)
+        assert rr.greedy_min_superset(D, k, D.basis_indices, disc) == want
+
+
+class TestOrderArgument:
+    def test_narrow_or_misshapen_order_raises(self):
+        D = generate(GenSpec("independent", 40, 3, seed=1))
+        disc = rr.build_discretization(3, 2, 20, seed=1)
+        order = _descending_order(D, disc.vectors, 4)
+        B = D.basis_indices
+        for fn in (rr.build_cover, rr.greedy_min_superset):
+            with pytest.raises(ValueError, match="at least k=5 columns"):
+                fn(D, 5, B, disc, order)
+            with pytest.raises(ValueError, match=rf"got shape \({disc.size - 1}, 4\)"):
+                fn(D, 3, B, disc, order[1:])
+        assert rr.greedy_min_superset(D, 4, B, disc, order) == \
+            rr.greedy_min_superset(D, 4, B, disc)
 
 
 class TestGreedyMinSuperset:
@@ -218,6 +301,13 @@ class TestSolveRrmHd:
         unres = rr.solve_rrm_hd(D, HdParams(r=5, gamma=3, m=100, seed=31))
         assert res.rank_regret <= unres.rank_regret
 
+    def test_memory_and_scale(self):
+        # the default m here is about 14 400 vectors; a full order matrix
+        # of all 5000 tuples would need hundreds of MB
+        D = generate(GenSpec("independent", 5000, 3, seed=3))
+        peak = traced_peak(lambda: rr.solve_rrm_hd(D, HdParams(r=4)))
+        assert peak < 96 * 2**20
+
     def test_budget_validation(self):
         D = generate(GenSpec("independent", 20, 3, seed=1))
         with pytest.raises(ValueError):
@@ -236,6 +326,39 @@ class TestSolveRrrHd:
         if smaller_r >= D.d:
             worse = rr.solve_rrm_hd(D, HdParams(r=smaller_r, gamma=3, m=60, seed=44))
             assert worse.rank_regret > 4
+
+    def test_matches_one_solve_per_budget(self):
+        # reference: the same doubling-plus-binary budget search, running a
+        # full solve for every budget, the basis-only one included
+        D = generate(GenSpec("anti-correlated", 200, 3, seed=7))
+        base = HdParams(r=3, gamma=4, m=300, seed=7)
+
+        def fits(r):
+            return rr.solve_rrm_hd(D, dataclasses.replace(base, r=r)).rank_regret <= k
+
+        for k in (2, 10, 40, 200):
+            r = max(len(D.basis_indices), D.d)
+            prev_fail = r - 1
+            while not fits(r):
+                prev_fail, r = r, 2 * r
+            lo, hi = prev_fail + 1, r
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if fits(mid) else (mid + 1, hi)
+            want = rr.solve_rrm_hd(D, dataclasses.replace(base, r=hi))
+            got = rr.solve_rrr_hd(D, k, base)
+            assert (got.selected_indices, got.rank_regret) == \
+                (want.selected_indices, want.rank_regret)
+
+    def test_basis_only_budget_does_not_widen_the_prefix(self):
+        # the basis alone reaches only a deep threshold here; deciding that
+        # budget by its rank-regret keeps the prefix at the later attempts' depth
+        D = generate(GenSpec("anti-correlated", 1000, 3, seed=501))
+        params = HdParams(r=3, gamma=4, m=2000, seed=501)
+        disc = rr.build_discretization(3, 4, 2000, seed=501)
+        deep = rr.discrete_rank_regret(D.basis_indices, D, disc)
+        res = rr.solve_rrr_hd(D, 10, params)
+        assert res.solver_params["order_width"] < deep
 
 
 class TestHdParams:
