@@ -37,7 +37,6 @@ from .oracle import (
     exact_rat_k_2d,
     exhaustive_min_cover_size,
     exhaustive_rrm,
-    sampled_rank_regret,
 )
 from .skyline import CandidateSet, basis, restricted_skyline, skyline
 from .solver2d import (
@@ -113,7 +112,6 @@ __all__ = [
     "rank_regret_of_set",
     "render_scene",
     "sample_sphere",
-    "sampled_rank_regret",
     "save_csv",
     "save_result",
     "score",

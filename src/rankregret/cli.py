@@ -1,10 +1,9 @@
 """Command-line driver.
 
-Subcommands: gen, solve, rrr, eval, oracle, netbound, bench.  Every
-result embeds the resolved configuration; outputs are canonical JSON
-(CSV for gen/bench) so identical flags and seeds reproduce identical
-bytes.  Wall-clock timings go to stderr, except for the time_ms column
-of bench, which is inherently measurement output.
+Subcommands: gen, solve, rrr, eval, oracle, netbound.  Every result
+embeds the resolved configuration; outputs are canonical JSON (CSV for
+gen) so identical flags and seeds reproduce identical bytes.  Wall-clock
+timings go to stderr.
 
 Exit codes: 0 success, 1 usage error, 2 guard or solver error.
 """
@@ -165,18 +164,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_netbound)
 
-    p = sub.add_parser("bench", help="sweep runner emitting a tidy CSV")
-    p.add_argument("--algos", default="2d,hd")
-    p.add_argument("--families", default="independent")
-    p.add_argument("--ns", default="1000")
-    p.add_argument("--ds", default="2")
-    p.add_argument("--rs", default="5")
-    p.add_argument("--deltas", default="0.03")
-    p.add_argument("--gamma", type=int, default=6)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -316,53 +303,6 @@ def cmd_netbound(args) -> int:
         solverhd.NetBoundParams(c=args.c, d=args.d, epsilon_net=args.eps))
     _emit(f"{bound}\n", args.out)
     return 0
-
-
-def _split(text: str, cast):
-    return [cast(x) for x in text.split(",") if x.strip()]
-
-
-def cmd_bench(args) -> int:
-    seed = _resolved_seed(args)
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    rows = ["algo,family,n,d,r,gamma,delta,m,seed,samples,time_ms,"
-            "rank_regret,estimated_rank_regret"]
-    for family in families:
-        for n in _split(args.ns, int):
-            for d in _split(args.ds, int):
-                D = datagen.generate(datagen.GenSpec(family, n, d, seed))
-                for r in _split(args.rs, int):
-                    for delta in _split(args.deltas, float):
-                        for algo in algos:
-                            if algo == "2d" and d != 2:
-                                continue
-                            row = _bench_cell(D, algo, family, n, d, r, delta,
-                                              args, seed)
-                            if row:
-                                rows.append(row)
-    _emit("\n".join(rows) + "\n", args.out)
-    return 0
-
-
-def _bench_cell(D, algo, family, n, d, r, delta, args, seed) -> str | None:
-    t0 = time.perf_counter()
-    if algo == "2d":
-        result = solver2d.solve_rrm_2d(D, r)
-        m_used = ""
-    else:
-        if r < d:
-            return None
-        params = solverhd.HdParams(r=r, gamma=args.gamma, delta_fail=delta,
-                                   seed=seed)
-        result = solverhd.solve_rrm_hd(D, params)
-        m_used = result.solver_params["m"]
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    est = evaluate.estimate_rank_regret(result.selected_indices, D,
-                                        args.samples, seed + 1)
-    return (f"{algo},{family},{n},{d},{r},{args.gamma},{delta},{m_used},{seed},"
-            f"{args.samples},{elapsed_ms:.2f},{result.rank_regret},"
-            f"{est.estimated_rank_regret}")
 
 
 def main(argv=None) -> int:

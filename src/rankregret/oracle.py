@@ -1,7 +1,8 @@
 """Independent brute-force references for the solvers.
 
 Everything here trades time for simplicity: subsets are enumerated
-outright and evaluated either exactly (d = 2, critical-point ranks) or
+outright and evaluated either exactly (d = 2, ranks at the critical
+points and in the cells between them, as ``exact_chain_rank`` ranks) or
 by a high-density vector sample (d > 2, a lower bound on the true
 worst case).  A combinatorial guard keeps runs at desk scale.
 """
@@ -14,10 +15,9 @@ from math import comb
 
 import numpy as np
 
-from .core import (Dataset, RestrictedSpace, _min_rank_rows, _score_blocks, _set_rows,
-                   min_ranks_for_vectors)
+from .core import Dataset, RestrictedSpace, _min_rank_rows, _score_blocks, _set_rows
 from .skyline import restricted_skyline
-from .solver2d import _line_scores, _min_ranks_at, critical_xs, render_scene
+from .solver2d import _Form, _set_ranks, render_scene
 from .solverhd import sample_sphere
 
 ENUMERATION_GUARD = 10_000_000
@@ -70,34 +70,40 @@ def dense_grid_chain_rank(S, D: Dataset, interval: tuple[float, float] = (0.0, 1
                           points: int = 100_000) -> int:
     """Worst rank of S over a dense uniform x-grid (can only under-count).
 
-    Peak working memory is O(``_BLOCK_CELLS``) scores plus the grid.
+    Each grid point is ranked exactly, as ``exact_chain_rank`` ranks a
+    point.  Peak working memory is O(``_BLOCK_CELLS``) scores plus the
+    grid.
     """
     rows = _set_rows(S, D.n)
     xs = np.linspace(interval[0], interval[1], points)
-    return int(_min_ranks_at(D.values, rows, xs).max())
+    form, none = _Form(D.values, interval), np.full(points, -1)
+    _, at, _ = _set_ranks(form, np.arange(D.n), [rows],
+                          form.number(xs, np.zeros(points), none, none))
+    return int(at.max())
 
 
 def exact_rat_k_2d(S, D: Dataset, k: int, space: RestrictedSpace | None = None) -> float:
     """Exact fraction of utility directions (by arc measure) whose top-k
     intersects S, for d = 2.
 
-    Ranks are piecewise constant between crossings; each piece is weighted
-    by the angle swept by the normalized direction (c, 1-c).  Peak working
-    memory is O(``_BLOCK_CELLS``) scores plus the critical points.
+    Ranks are constant on the open cell between consecutive critical
+    points (``exact_chain_rank``'s points, in exact order), where they are
+    the cell ranks right of the first; each cell is weighted by the angle
+    swept by the normalized direction (c, 1-c).  Peak working memory is
+    O(``_BLOCK_CELLS``) scores plus the critical points.
     """
     if D.d != 2:
         raise ValueError("exact_rat_k_2d requires d = 2")
     rows = _set_rows(S, D.n)
-    lo, hi = render_scene(space)
-    pts = critical_xs(D.values, rows, (lo, hi))
-    if len(pts) < 2:
+    form = _Form(D.values, render_scene(space))
+    lines = np.arange(D.n)
+    x, at, right = _set_ranks(form, lines, [rows], form.points(lines, rows))
+    if x.size < 2:
         # degenerate zero-width interval: a single direction
-        return float(_min_ranks_at(D.values, rows, pts)[0] <= k)
-    mids = (pts[:-1] + pts[1:]) / 2.0
-    min_rank = _min_ranks_at(D.values, rows, mids)
-    angles = np.arctan2(pts, 1.0 - pts)
+        return float(at[0, 0] <= k)
+    angles = np.arctan2(x, 1.0 - x)
     weights = np.diff(angles)
-    hit = weights[min_rank <= k].sum()
+    hit = weights[right[0, :-1] <= k].sum()
     return float(hit / weights.sum())
 
 
@@ -185,9 +191,13 @@ def exhaustive_rrm(D: Dataset, r: int, space: RestrictedSpace | None = None,
             f"enumerating {total} subsets exceeds the guard {ENUMERATION_GUARD}"
         )
     if D.d == 2:
-        pts = critical_xs(D.values, cand, render_scene(space))
-        evals = np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0])
-        R = _rank_profiles(_line_scores(D.values, evals), len(evals), D.n, cand)
+        # each candidate's exact ranks at the critical points of all
+        # candidates and in the cells right of them (0 where no cell is)
+        form = _Form(D.values, render_scene(space))
+        lines = np.arange(D.n)
+        _, at, right = _set_ranks(form, lines, [cand[i:i + 1] for i in range(len(cand))],
+                                  form.points(lines, cand))
+        R = np.concatenate([at, right], axis=1).astype(np.int32)
         method = "exhaustive-2d-exact"
         rep_samples = rep_seed = None
     else:
@@ -207,13 +217,6 @@ def exhaustive_rrm(D: Dataset, r: int, space: RestrictedSpace | None = None,
         samples=rep_samples,
         seed=rep_seed,
     )
-
-
-def sampled_rank_regret(S, D: Dataset, samples: int, seed: int,
-                        space: RestrictedSpace | None = None) -> int:
-    """Sampled lower bound on the worst-case rank-regret of one set."""
-    V = sample_sphere(D.d, samples, seed, space)
-    return int(min_ranks_for_vectors(D, V, S).max())
 
 
 def exhaustive_min_cover_size(universe: np.ndarray, sets: dict[int, np.ndarray]) -> int:

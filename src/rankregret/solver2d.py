@@ -7,21 +7,34 @@ order of the lines.  A candidate subset of the skyline corresponds to a
 convex chain (slope-ascending sequence of skyline lines), and its
 worst-case rank over an x-interval is minimized exactly by dynamic
 programming over the chain end-line and chain size while a vertical
-sweep line visits the pairwise intersections in x order.  Only the
-lines of the K-skyband are swept: a line that K others stay above
-never takes part in a rank of at most K.
+sweep line visits the intersections in x order.  Only the lines of the
+K-skyband are swept: a line that K others stay above never takes part
+in a rank of at most K.
+
+Ranks are exact on the stored floats, each of which is a dyadic
+rational.  At a point x the lines are ordered by their exact score,
+then by the lower tuple index; in the open cell just right of x, by the
+score at x, then by slope descending, then by index (the index is the
+symbolic perturbation of Edelsbrunner and Muecke's simulation of
+simplicity).  Float keys decide wherever they lie farther apart than
+their error bound; only keys that coincide within it are compared in
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property, cmp_to_key
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_BLOCK_CELLS, Dataset, RegretResult, RestrictedSpace, _min_ranks,
-                   _set_rows)
-from .skyline import restricted_skyline, skyband
+from .core import Dataset, RegretResult, RestrictedSpace, _score_blocks, _set_rows
+from .skyline import restricted_skyline
+
+_U = 2.0 ** -53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -59,12 +72,14 @@ class _ChainNode:
 
 @dataclass
 class SweepState:
-    """Snapshot of the sweep exposed to trace callbacks."""
+    """Snapshot of the sweep exposed to trace callbacks, once per event
+    point: every crossing at one exact x is processed as one batch."""
 
     sweep_x: float
     interval: tuple[float, float]
-    order: tuple[int, ...]            # tuple indices, top to bottom
-    event: tuple[int, int]            # (falling tuple index, rising tuple index)
+    order: tuple[int, ...]            # tuple indices, top to bottom just right of x
+    event: tuple[int, ...]            # the batch's lines, top to bottom just left of x;
+                                      # for one crossing (falling, rising)
     chain_ranks: np.ndarray           # copy of the s x r worst-rank matrix
     events_processed: int
 
@@ -78,268 +93,474 @@ def render_scene(space: RestrictedSpace | None) -> tuple[float, float]:
     return (float(cs.min()), float(cs.max()))
 
 
-def dualize(D: Dataset, space: RestrictedSpace | None = None) -> list[DualLine]:
-    """Dual lines of all tuples, listed in their top-to-bottom order at the
-    start of the swept interval (descending second attribute for the full
-    space).  Skyline flags and ordinals refer to the restricted skyline."""
-    if D.d != 2:
-        raise ValueError("the dual transform requires d = 2")
-    lo, _ = render_scene(space)
-    intercept = D.values[:, 1]
-    slope = D.values[:, 0] - D.values[:, 1]
-    sky_rows = np.asarray(restricted_skyline(D, space).indices) - 1
-    # skyline lines sorted by slope are the legal chain building blocks
-    sky_sorted = sky_rows[np.argsort(slope[sky_rows], kind="stable")]
-    ordinal = {int(row): pos + 1 for pos, row in enumerate(sky_sorted)}
-    start = intercept + slope * lo
-    order = np.lexsort((np.arange(D.n), -slope, -start))
-    return [
-        DualLine(
-            tuple_index=int(row) + 1,
-            intercept=float(intercept[row]),
-            slope=float(slope[row]),
-            is_skyline=int(row) in ordinal,
-            skyline_ordinal=ordinal.get(int(row)),
-        )
-        for row in order
-    ]
+class _Points(NamedTuple):
+    """Critical points: float x, a bound err on its distance to the exact
+    point, the crossing rows pm, pc (-1 for an exact float x), and the
+    exact order: ``point[k]`` numbers point k among the distinct exact
+    points in ascending order, and ``rep[g]`` is one point numbered g."""
+
+    x: np.ndarray
+    err: np.ndarray
+    pm: np.ndarray
+    pc: np.ndarray
+    point: np.ndarray
+    rep: np.ndarray
 
 
-def _crossing(b1: float, s1: float, b2: float, s2: float) -> float | None:
-    if s1 == s2:
-        return None
-    return (b2 - b1) / (s1 - s2)
+class _Form:
+    """Exact dual form of a 2D table over the swept interval.
+
+    Line i is y = b[i] + s[i] * x with b the second attribute and s the
+    first minus the second.  On one power-of-two scale every intercept
+    and slope is an exact integer (``B``, ``S``); ``b`` and ``s`` are
+    their float copies.  ``sky`` holds the restricted skyline's rows in
+    ascending slope when the form is built for a solve (``of``).
+    """
+
+    def __init__(self, values: np.ndarray, interval, sky_rows=None):
+        self.values = values
+        self.lo, self.hi = float(interval[0]), float(interval[1])
+        self.b = values[:, 1]
+        self.s = values[:, 0] - values[:, 1]
+        self._smax = float(np.abs(self.s).max())
+        self._mag = float(np.abs(self.b).max()) + self._smax
+        # values = mant * 2**-den exactly, mant a 53-bit integer
+        mant, expo = np.frexp(values)
+        nonzero = values != 0
+        den = np.where(nonzero, 53 - expo, np.iinfo(np.int64).min)
+        ints = (mant * 2.0 ** 53).astype(np.int64).astype(object) \
+            << np.where(nonzero, den.max() - den, 0).astype(object)
+        self.B, self.S = ints[:, 1], ints[:, 0] - ints[:, 1]
+        if sky_rows is not None:
+            self.sky = np.array(sorted(sky_rows, key=self.S.__getitem__), dtype=np.int64)
+
+    @classmethod
+    def of(cls, D: Dataset, space: RestrictedSpace | None) -> "_Form":
+        sky = [i - 1 for i in restricted_skyline(D, space).indices]
+        return cls(D.values, render_scene(space), sky)
+
+    def point(self, x: float, pm: int, pc: int) -> tuple[int, int] | None:
+        """Exact x = num / den (den > 0) of the crossing of rows pm and pc
+        (None when they are parallel), or of the float x when pm < 0."""
+        if pm < 0:
+            return x.as_integer_ratio()
+        num, den = self.B[pc] - self.B[pm], self.S[pm] - self.S[pc]
+        return None if den == 0 else (num, den) if den > 0 else (-num, -den)
+
+    def tol(self, x, err):
+        """Bound on the float error of a score difference at a float x
+        within ``err`` of the exact point, with scores b + s * x."""
+        return 3.0 * self._smax * err + 16.0 * _U * self._mag * (1.0 + np.abs(x))
+
+    def order(self, rows: np.ndarray, x: float, after: bool = False) -> np.ndarray:
+        """rows top to bottom at the point x (exact score, then row) or,
+        with ``after``, in the open cell just right of x (score at x, then
+        slope descending, then row)."""
+        # at the ends of [0, 1] the scores are the attributes themselves
+        if x in (0.0, 1.0):
+            y, tol = self.values[rows, 1 - int(x)], 0.0
+        else:
+            y, tol = self.b[rows] + self.s[rows] * x, float(self.tol(x, 0.0))
+        idx = np.lexsort((rows, -self.s[rows], -y) if after else (rows, -y))
+        rows, y = rows[idx], y[idx]
+        if tol or after:
+            p, q = x.as_integer_ratio()
+            for a, z in _runs(np.flatnonzero(y[:-1] - y[1:] > tol) + 1, rows.size):
+                rows[a:z] = sorted(rows[a:z].tolist(), key=lambda r: (
+                    -(self.B[r] * q + self.S[r] * p), -self.S[r] if after else 0, r))
+        return rows
+
+    @cached_property
+    def ends(self) -> tuple[list[int], list[int]]:
+        """Every row in its exact order at lo, and each row's rank at hi."""
+        n = self.values.shape[0]
+        hi_rank = np.empty(n, dtype=np.int64)
+        hi_rank[self.order(np.arange(n), self.hi)] = np.arange(n)
+        return self.order(np.arange(n), self.lo).tolist(), hi_rank.tolist()
+
+    def points(self, lines: np.ndarray, members: np.ndarray) -> _Points:
+        """The ends of the interval and every crossing inside it of a
+        member's line with a line of ``lines`` (of two members once)."""
+        lo, hi = self.lo, self.hi
+        member = np.isin(lines, members)
+        pm, pc = np.nonzero((lines != members[:, None]) & ~(member & (lines < members[:, None])))
+        pm, pc = members[pm], lines[pc]
+        num, den = self.b[pc] - self.b[pm], self.s[pm] - self.s[pc]
+        # the float den differs from the exact one by at most eta / 2
+        eta = 2.0 * _U * (np.abs(self.s[pm]) + np.abs(self.s[pc]) + np.abs(den))
+        sure = np.abs(den) > 2.0 * eta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = num / den
+            err = np.abs(x) * (eta / np.abs(den) + 4.0 * _U) * 1.1
+            inside = sure & (x - err >= lo) & (x + err <= hi)
+            near = sure & (x + err >= lo) & (x - err <= hi)
+        # a nearly parallel pair crosses beyond reach unless num is tiny
+        near |= ~sure & (np.abs(num) * (1.0 - 4.0 * _U) <= 2.5 * eta * max(abs(lo), abs(hi)))
+        keep = np.flatnonzero(inside).tolist()
+        for k in np.flatnonzero(near & ~inside).tolist():
+            got = self.point(0.0, int(pm[k]), int(pc[k]))
+            if got is not None and _cmp(got, lo) >= 0 and _cmp(got, hi) <= 0:
+                x[k] = got[0] / got[1]
+                err[k] = 2.0 * _U * abs(x[k])
+                keep.append(k)
+        return self.number(np.concatenate([[lo, hi], x[keep]]),
+                           np.concatenate([[0.0, 0.0], err[keep]]),
+                           np.concatenate([[-1, -1], pm[keep]]),
+                           np.concatenate([[-1, -1], pc[keep]]))
+
+    def number(self, x, err, pm, pc) -> _Points:
+        """The points in exact order.  Float order decides wherever the
+        error bounds part two points; inside each group of overlapping
+        bounds the exact points' correctly rounded floats do, and their
+        exact values only where those are equal."""
+        idx = np.argsort(x, kind="stable")
+        lower, upper = (x - err)[idx], (x + err)[idx]
+        new = np.ones(idx.size, dtype=bool)
+        new[1:] = lower[1:] > np.maximum.accumulate(upper)[:-1]
+        group = np.cumsum(new)
+        runs = np.flatnonzero(np.bincount(group)[group] > 1)
+        if runs.size:
+            k = idx[runs]
+            num, den = np.empty(k.size, dtype=object), np.empty(k.size, dtype=object)
+            num[:], den[:] = zip(*(self.point(float(x[i]), int(pm[i]), int(pc[i]))
+                                   for i in k.tolist()))
+            key = (num / den).astype(float)  # correctly rounded, so monotone
+            o = np.lexsort((key, group[runs]))
+            k, num, den, key = k[o], num[o], den[o], key[o]
+            for a, z in _runs(np.flatnonzero(np.diff(key) != 0) + 1, k.size):
+                o = sorted(range(a, z), key=cmp_to_key(
+                    lambda i, j: _sign(num[i] * den[j] - num[j] * den[i])))
+                k[a:z], num[a:z], den[a:z] = k[o], num[o], den[o]
+            idx[runs] = k
+            new[runs[1:]] |= (num[1:] * den[:-1] != num[:-1] * den[1:]).astype(bool)
+        point = np.empty(x.size, dtype=np.int64)
+        point[idx] = np.cumsum(new) - 1
+        return _Points(x, err, pm, pc, point, idx[np.flatnonzero(new)])
 
 
-def critical_xs(values: np.ndarray, rows: np.ndarray,
-                interval: tuple[float, float]) -> np.ndarray:
-    """Interval endpoints plus every crossing of the given lines with any line."""
-    lo, hi = interval
-    intercept = values[:, 1]
-    slope = values[:, 0] - values[:, 1]
-    parts = [np.array([lo, hi], dtype=float)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r in rows:
-            cand = (intercept - intercept[r]) / (slope[r] - slope)
-            cand = cand[np.isfinite(cand)]
-            parts.append(cand[(cand >= lo) & (cand <= hi)])
-    return np.unique(np.concatenate(parts))
+def _runs(starts: np.ndarray, size: int):
+    """(start, end) of the runs of length two or more, given where runs
+    start (0 is implied) over positions 0..size-1."""
+    bounds = np.concatenate([[0], starts[starts > 0], [size]])
+    long = np.flatnonzero(np.diff(bounds) > 1)
+    return zip(bounds[long].tolist(), bounds[long + 1].tolist())
 
 
-def _line_scores(values: np.ndarray, xs: np.ndarray):
-    """Score-block function of the dual lines at the points ``xs``: row i
-    of a block holds every tuple's utility under (x_i, 1 - x_i), computed
-    as ``intercept + slope * x``."""
-    intercept = values[:, 1]
-    slope = values[:, 0] - values[:, 1]
-    xs = np.asarray(xs, dtype=float)
-    return lambda sl: intercept + slope * xs[sl, None]
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
 
 
-def _min_ranks_at(values: np.ndarray, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Best rank among the (sorted, 0-based) rows at every x of ``xs``,
-    ties to the lower tuple index.  Peak working memory is
-    O(``_BLOCK_CELLS``) scores plus the output."""
-    return _min_ranks(_line_scores(values, xs), len(xs), values.shape[0], rows)
+def _cmp(frac: tuple[int, int], v: float) -> int:
+    """Sign of the exact rational num / den (den > 0) minus the float v."""
+    p, q = v.as_integer_ratio()
+    return _sign(frac[0] * q - p * frac[1])
 
 
-def _worst_rank(values: np.ndarray, rows: np.ndarray,
-                interval: tuple[float, float]) -> int:
-    """Exact worst-case rank of the (sorted, 0-based) rows among the lines
-    of ``values`` over the x-interval; see ``exact_chain_rank``."""
-    pts = critical_xs(values, rows, interval)
-    evals = np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0])
-    return int(_min_ranks_at(values, rows, evals).max())
+def _own_ranks(form: _Form, lines: np.ndarray, members, P: _Points) -> dict:
+    """Rank of each member row (ascending) among ``lines`` at each of its
+    own distinct points (the ends and its crossings), and in the open
+    cell just right of each: row -> (own point numbers, ranks at them,
+    ranks right of them).
+
+    A line counts as above or below the member by its float score unless
+    it lies within the error bound ``form.tol`` of the member's, and only
+    those lines are ranked exactly; the line crossing the member at a
+    point is decided without exact arithmetic.  Peak working memory is
+    O(``_BLOCK_CELLS``) scores plus the output.
+    """
+    members = np.asarray(members)
+    ends = np.flatnonzero(P.pm < 0)
+    by_m, by_c = np.isin(P.pm, members), np.isin(P.pc, members)
+    # (member, point, the line crossing it there or -1) for every member's
+    # points, ascending, one line per point
+    m = np.concatenate([P.pm[by_m], P.pc[by_c], np.repeat(members, ends.size)])
+    g = np.concatenate([P.point[by_m], P.point[by_c], np.tile(P.point[ends], members.size)])
+    partner = np.concatenate([P.pc[by_m], P.pm[by_c], np.full(members.size * ends.size, -1)])
+    _, first = np.unique(m * P.rep.size + g, return_index=True)
+    m, g, partner = m[first], g[first], partner[first]
+    b, s = form.b[lines], form.s[lines]
+    col, pcol = np.searchsorted(lines, m), np.searchsorted(lines, partner)
+    k_of = P.rep[g]
+    xs, tol = P.x[k_of], form.tol(P.x[k_of], P.err[k_of])
+    at = np.empty(m.size, dtype=np.int64)
+    right = np.empty(m.size, dtype=np.int64)
+
+    def scores(sl):  # one block-sized array: the scores are formed in place
+        Y = np.multiply.outer(xs[sl], s)
+        Y += b
+        return Y
+
+    for sl, Y in _score_blocks(scores, m.size, lines.size):
+        t, y = tol[sl], Y[np.arange(Y.shape[0]), col[sl]]
+        above = np.count_nonzero(Y > (y + t)[:, None], axis=1)
+        near = np.count_nonzero(Y >= (y - t)[:, None], axis=1) - above
+        at[sl], right[sl] = above + 1, above + 1
+        two = np.flatnonzero((near == 2) & (partner[sl] >= 0))
+        p_two, m_two = pcol[sl][two], col[sl][two]
+        fine = (np.abs(Y[two, p_two] - y[two]) <= t[two]) & (s[p_two] != s[m_two])
+        two, p_two, m_two = two[fine], p_two[fine], m_two[fine]
+        at[sl.start + two] += partner[sl][two] < m[sl][two]
+        right[sl.start + two] += s[p_two] > s[m_two]
+        for k in np.setdiff1d(np.flatnonzero(near > 1), two).tolist():
+            kk, mk = int(k_of[sl.start + k]), int(m[sl.start + k])
+            p, q = form.point(float(P.x[kk]), int(P.pm[kk]), int(P.pc[kk]))
+            ym = form.B[mk] * q + form.S[mk] * p
+            ups = [0, 0]
+            for row in lines[np.abs(Y[k] - y[k]) <= t[k]].tolist():
+                score = form.B[row] * q + form.S[row] * p
+                if row != mk and score >= ym:
+                    ups[0] += score > ym or row < mk
+                    ups[1] += score > ym or (form.S[row], -row) > (form.S[mk], -mk)
+            at[sl.start + k] = above[k] + ups[0] + 1
+            right[sl.start + k] = above[k] + ups[1] + 1
+    cuts = np.searchsorted(m, members, side="right")
+    return {int(row): (g[a:z], at[a:z], right[a:z])
+            for row, a, z in zip(members, np.concatenate([[0], cuts[:-1]]), cuts)}
+
+
+def _set_ranks(form: _Form, lines: np.ndarray, groups, P: _Points):
+    """Rank of each member group among ``lines`` at every distinct point
+    of P, and in the open cell just right of it.
+
+    A point with pm >= 0 belongs to those of pm and pc that are members,
+    one with pm < 0 to every member.  A member's rank changes only at its
+    own points, so it is ranked there and carried to the points between;
+    a group ranks as its best member.  The last point must be hi, so no
+    cell of the interval lies right of it, and its cell rank is 0.
+    Returns the points' floats and two (len(groups), points) arrays.
+    """
+    every = np.arange(P.rep.size)
+    at = np.full((len(groups), every.size), lines.size + 1, dtype=np.int64)
+    right = at.copy()
+    ranked = _own_ranks(form, lines, np.unique(np.concatenate(groups)), P)
+    for g, members in enumerate(groups):
+        for m in np.asarray(members).tolist():
+            own, m_at, m_right = ranked[m]
+            last = np.searchsorted(own, every, side="right") - 1
+            np.minimum(at[g], np.where(own[last] == every, m_at[last], m_right[last]), out=at[g])
+            np.minimum(right[g], m_right[last], out=right[g])
+    right[:, -1] = 0
+    return P.x[P.rep], at, right
+
+
+def _worst_rank(form: _Form, lines: np.ndarray, members: np.ndarray) -> int:
+    """Exact worst rank of the (sorted) member rows among ``lines`` over
+    the interval; see ``exact_chain_rank``."""
+    _, at, right = _set_ranks(form, lines, [members], form.points(lines, members))
+    return int(max(at.max(), right.max()))
 
 
 def exact_chain_rank(S, D: Dataset, interval: tuple[float, float] = (0.0, 1.0)) -> int:
-    """Exact worst-case rank of the set S over the x-interval.
+    """Exact worst-case rank of the set S over the closed x-interval.
 
-    Ranks are piecewise constant between crossings, so evaluating at the
-    endpoints, at every crossing involving a member of S, and at the
-    midpoints between consecutive critical points is exhaustive.  Peak
-    working memory is O(``_BLOCK_CELLS``) scores plus the critical points.
+    The set's rank changes only where a member's line crosses another
+    line, so it is taken exactly at the ends, at every such crossing
+    inside the interval, and in the open cell just right of each of
+    these points but hi (see the module docstring for the two orders).
+    Peak working memory is O(``_BLOCK_CELLS``) scores plus the critical
+    points.
     """
     if D.d != 2:
         raise ValueError("exact_chain_rank requires d = 2")
-    return _worst_rank(D.values, _set_rows(S, D.n), interval)
+    return _worst_rank(_Form(D.values, interval), np.arange(D.n), _set_rows(S, D.n))
 
 
-def _skyline_by_slope(D: Dataset, space: RestrictedSpace | None) -> np.ndarray:
-    """Rows of the restricted skyline in slope-ascending order: the legal
-    chain building blocks."""
-    slope = D.values[:, 0] - D.values[:, 1]
-    sky_rows = np.asarray(restricted_skyline(D, space).indices) - 1
-    sky_sorted = sky_rows[np.argsort(slope[sky_rows], kind="stable")]
-    # strictly ascending slopes guarantee every DP transition extends a
-    # convex chain; duplicates cannot both survive the skyline tie rule
-    if len(sky_sorted) > 1 and not (np.diff(slope[sky_sorted]) > 0).all():
-        raise AssertionError("skyline lines must have strictly ascending slopes")
-    return sky_sorted
+def dualize(D: Dataset, space: RestrictedSpace | None = None) -> list[DualLine]:
+    """Dual lines of all tuples, listed in their top-to-bottom order just
+    right of the start of the swept interval (descending second attribute
+    for the full space).  Skyline flags and ordinals refer to the
+    restricted skyline."""
+    if D.d != 2:
+        raise ValueError("the dual transform requires d = 2")
+    form = _Form.of(D, space)
+    ordinal = {row: pos + 1 for pos, row in enumerate(form.sky.tolist())}
+    return [
+        DualLine(
+            tuple_index=row + 1,
+            intercept=float(form.b[row]),
+            slope=float(form.s[row]),
+            is_skyline=row in ordinal,
+            skyline_ordinal=ordinal.get(row),
+        )
+        for row in form.order(np.arange(D.n), form.lo, after=True).tolist()
+    ]
 
 
-def _band(values: np.ndarray, sky_sorted: np.ndarray, interval: tuple[float, float],
-          K: int) -> np.ndarray:
+def _band(form: _Form, K: int) -> np.ndarray:
     """Ascending rows of the lines the sweep keeps for ranks up to K.
 
-    That is the K-skyband (``skyline.skyband``) of every line's scores at
-    both ends of the interval, computed as the rank evaluator computes
-    them (``_line_scores``), joined with the skyline rows.  Any superset
-    of the band is exact, and the skyline rows are the chain lines.
-
-    An outranking that rests on a tie at an end holds in exact
-    arithmetic only: crossings of lines that meet there come out within
-    an ulp of the end, where their float scores can order either way.
-    So a line also joins unless K band lines clear it by ``tol`` at both
-    ends or duplicate it with a lower index; those lines stay above it
-    at every x in the evaluator's float scores too.
+    That is the K-skyband (``skyline.skyband``) of every line's exact
+    ranks at the two ends of the interval, joined with the skyline rows.
+    A line that ranks above another at both ends ranks above it at every
+    point and in every cell between, so a line that K lines outrank
+    never ranks within K; and the skyline rows are the chain lines.  The
+    lines before a line in the order at lo outrank it when they rank
+    better at hi, which a heap of the K best ranks at hi so far counts.
     """
-    ends = _line_scores(values, np.asarray(interval, dtype=float))(slice(None)).T
-    tol = 1e-9 * float(np.abs(values).max())
-    inside = skyband(ends, K)
-    inside[sky_sorted] = True
-    rows = np.flatnonzero(inside)
-    out = np.flatnonzero(~inside)
-    step = max(1, _BLOCK_CELLS // max(rows.size, 1))
-    for start in range(0, out.size, step):
-        t = out[start:start + step, None]
-        clear = (ends[rows] > ends[t] + tol).all(axis=2)
-        clear |= (values[rows] == values[t]).all(axis=2) & (rows < t)
-        inside[t[clear.sum(axis=1) < K, 0]] = True
+    lo_order, hi_rank = form.ends
+    inside = np.zeros(len(hi_rank), dtype=bool)
+    inside[form.sky] = True
+    best: list[int] = []  # the K best ranks at hi so far, negated
+    for row in lo_order:
+        if len(best) < K:
+            heapq.heappush(best, -hi_rank[row])
+        elif hi_rank[row] < -best[0]:
+            heapq.heapreplace(best, -hi_rank[row])
+        else:
+            continue
+        inside[row] = True
     return np.flatnonzero(inside)
 
 
-def _sweep(values: np.ndarray, band: np.ndarray, sky_sorted: np.ndarray, r: int,
-           interval: tuple[float, float], trace=None):
+def _pass_point(M_rank, chains, ords, at, aft, fresh: bool) -> None:
+    """Chain DP step at one point through which the skyline lines of
+    ordinals ``ords`` (ascending) pass, with their ranks at the point
+    and in the cell right of it.
+
+    A chain whose last line passes the point may keep that line, move on
+    to a steeper line through it, or reach that steeper line through a
+    line in between, which tops the set only at the point and costs one
+    more set slot; at the point the set ranks as the best of the lines
+    it meets there.  With ``fresh`` (x = lo) no chain precedes the point.
+    """
+    r = len(M_rank[ords[0]])
+    old = [[0] * r for _ in ords] if fresh else [M_rank[o] for o in ords]
+    old_chains = [[_ChainNode(o, None)] * r for o in ords] if fresh else \
+        [chains[o] for o in ords]
+    for j, oj in enumerate(ords):
+        top = max(at[j], aft[j])
+        row = [v if v > top else top for v in old[j]]
+        links = list(old_chains[j])
+        for i in range(j):
+            _relax(row, links, oj, old[i], old_chains[i], None,
+                   max(min(at[i], at[j]), aft[j]))
+            if j - i > 1:
+                mid = min(range(i + 1, j), key=at.__getitem__)
+                _relax(row, links, oj, old[i], old_chains[i], ords[mid],
+                       max(min(at[i], at[mid], at[j]), aft[j]))
+        M_rank[oj] = row
+        chains[oj] = links
+
+
+def _relax(row, links, oj: int, src, src_chains, mid, floor: int) -> None:
+    """Lower the cells of ``row`` (chains ending in ordinal oj) that a
+    chain ending in ``src`` improves by moving on to oj at a point, via
+    the middle ordinal ``mid`` when given (one more set slot)."""
+    step = 1 if mid is None else 2
+    for h in range(len(row) - step):
+        v = src[h] if src[h] > floor else floor
+        if v < row[h + step]:
+            row[h + step] = v
+            prev = src_chains[h] if mid is None else _ChainNode(mid, src_chains[h])
+            links[h + step] = _ChainNode(oj, prev)
+
+
+def _sweep(form: _Form, band: np.ndarray, r: int, trace=None):
     """Dual sweep of the lines of ``band`` feeding the chain DP.
 
-    ``band`` holds ascending 0-based rows and contains ``sky_sorted``.
-    Lines are numbered by their position in ``band``, so ties between
-    them follow the tuple index as over the whole dataset, and ranks are
-    positions among the band's lines.  Returns ``(M_rank, chains,
+    ``band`` holds ascending rows and contains ``form.sky``; ranks are
+    exact ranks among the band's lines.  Returns ``(M_rank, chains,
     events)``: ``M_rank[o, h]`` is the least worst rank over the swept
-    interval of a chain of at most h + 1 skyline lines ending in the
-    line of slope ordinal o, ``chains[o][h]`` one such chain, and
-    ``events`` the number of crossings processed.  Column h depends only
-    on the columns to its left, so it is the same for every r > h.
+    interval of a chain of at most h + 1 skyline lines ending in the line
+    of slope ordinal o, ``chains[o][h]`` one such chain, and ``events``
+    the number of crossings processed.  Column h depends only on the
+    columns to its left, so it is the same for every r > h.
+
+    The events are the crossings of skyline lines with band lines, in
+    exact order, and all crossings at one exact x are one batch.  A
+    skyline line's rank changes only at its own crossings, where
+    ``_own_ranks`` ranks it, so the DP visits the points where skyline
+    lines meet (``_pass_point``) and takes the worst of the ranks in
+    between.  With a ``trace`` every band line is ranked, so each batch
+    reports the whole order.
     """
-    lo, hi = interval
-    m = band.size
-    intercept = values[band, 1]
-    slope = values[band, 0] - values[band, 1]
-    s_count = len(sky_sorted)
-    sky_lines = np.searchsorted(band, sky_sorted)
-    ordinal_of_line = np.full(m, -1, dtype=np.int64)
-    ordinal_of_line[sky_lines] = np.arange(s_count)
+    sky = form.sky.tolist()
+    members = band if trace is not None else np.sort(form.sky)
+    P = form.points(band, members)
+    ranks = _own_ranks(form, band, members, P)
+    own, at, cell = ([ranks[row][i].tolist() for row in sky] for i in range(3))
+    for c in cell:
+        c[-1] = 0  # right of hi lies outside the interval
+    ordinal = {row: o for o, row in enumerate(sky)}
+    cross = np.flatnonzero(P.pm >= 0)
+    meets: dict[int, dict[int, set[int]]] = {}  # point -> line -> lines meeting there
+    for k in cross[np.isin(P.pm[cross], form.sky) & np.isin(P.pc[cross], form.sky)].tolist():
+        a, c = ordinal[int(P.pm[k])], ordinal[int(P.pc[k])]
+        there = meets.setdefault(int(P.point[k]), {})
+        there.setdefault(a, {a}).add(c)
+        there.setdefault(c, {c}).add(a)
+    M_rank = [[max(a[0], c[0])] * r for a, c in zip(at, cell)]
+    chains = [[_ChainNode(o, None)] * r for o in range(len(sky))]
+    done = [1] * len(sky)  # own points already in M_rank
 
-    # initial top-to-bottom order just after x = lo
-    start = intercept + slope * lo
-    order_arr = np.lexsort((np.arange(m), -slope, -start))
-    pos_arr = np.empty(m, dtype=np.int64)
-    pos_arr[order_arr] = np.arange(m)
+    def fold(o: int, stop: int) -> None:
+        j = bisect_left(own[o], stop)
+        if j > done[o]:
+            v = max(max(at[o][done[o]:j]), max(cell[o][done[o]:j]))
+            M_rank[o] = [h if h > v else v for h in M_rank[o]]
+            done[o] = j
 
-    M_rank = np.tile((pos_arr[sky_lines] + 1)[:, None], (1, r)).astype(np.int64)
-    chains: list[list[_ChainNode]] = [[_ChainNode(i, None)] * r for i in range(s_count)]
-    # the event loop runs on Python lists: scalar reads of numpy arrays are slow
-    order, pos = order_arr.tolist(), pos_arr.tolist()
-    b_of, s_of = intercept.tolist(), slope.tolist()
-    ordinal_of_line = ordinal_of_line.tolist()
-
-    heap: list[tuple[float, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-
-    def discover(a: int, b: int, x_min: float, inclusive: bool) -> None:
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            return
-        x = _crossing(b_of[a], s_of[a], b_of[b], s_of[b])
-        if x is None or x > hi:
-            return
-        if x > x_min or (inclusive and x == x_min):
-            seen.add(key)
-            heapq.heappush(heap, (x, key[0], key[1]))
-
-    for p in range(m - 1):
-        discover(order[p], order[p + 1], lo, False)
-
-    pending: list[tuple[float, int, int]] = []
-    processed = 0
-    while heap:
-        x, a, b = heapq.heappop(heap)
-        pa, pb = pos[a], pos[b]
-        if abs(pa - pb) != 1:
-            # concurrent crossings at the same point are decomposed into
-            # adjacent swaps; retry once a swap has made this pair adjacent
-            pending.append((x, a, b))
-            continue
-        if pa < pb:
-            fall, rise, p_top = a, b, pa
-        else:
-            fall, rise, p_top = b, a, pb
-        p_bot = p_top + 1
-        order[p_top], order[p_bot] = rise, fall
-        pos[rise], pos[fall] = p_top, p_bot
-        processed += 1
-
-        if p_top > 0:
-            discover(order[p_top - 1], rise, x, True)
-        if p_bot < m - 1:
-            discover(fall, order[p_bot + 1], x, True)
-
-        oi = ordinal_of_line[fall]
-        if oi >= 0:
-            old_row = M_rank[oi].copy()
-            np.maximum(old_row, p_bot + 1, out=M_rank[oi])
-            oj = ordinal_of_line[rise]
-            if oj >= 0 and r > 1:
-                # the chain ending in the risen line may extend a chain that
-                # ended in the fallen line; compare against the pre-event
-                # rank of the shorter cell
-                upd = np.flatnonzero(M_rank[oj, 1:] > old_row[:-1])
-                if upd.size:
-                    M_rank[oj, upd + 1] = old_row[upd]
-                    row_i, row_j = chains[oi], chains[oj]
-                    for h in upd:
-                        row_j[h + 1] = _ChainNode(oj, row_i[h])
-        if pending:
-            for ev in pending:
-                heapq.heappush(heap, ev)
-            pending.clear()
-        if trace is not None:
+    batches: dict[int, list[int]] = {}
+    if trace is not None:
+        for k in cross.tolist():
+            batches.setdefault(int(P.point[k]), []).extend((int(P.pm[k]), int(P.pc[k])))
+        now = {row: int(ranks[row][2][0]) for row in band.tolist()}  # ranks right of lo
+        processed = 0
+    for g in sorted(set(meets) | set(batches)):
+        # skyline lines through one point all cross there, so a line's
+        # partners there are its whole block
+        for block in {frozenset(v) for v in meets.get(g, {}).values()}:
+            ords = sorted(block)
+            js = [bisect_left(own[o], g) for o in ords]
+            for o in ords:
+                fold(o, g)
+            _pass_point(M_rank, chains, ords, [at[o][j] for o, j in zip(ords, js)],
+                        [cell[o][j] for o, j in zip(ords, js)], g == 0)
+            for o, j in zip(ords, js):
+                done[o] = j + 1
+        if g > 0 and trace is not None:
+            for o in range(len(sky)):
+                fold(o, g + 1)
+            lines = sorted(set(batches[g]), key=now.get)
+            for row in lines:
+                now[row] = int(ranks[row][2][np.searchsorted(ranks[row][0], g)])
+            processed += len(batches[g]) // 2
             trace(SweepState(
-                sweep_x=x,
-                interval=(lo, hi),
-                order=tuple(int(band[i]) + 1 for i in order),
-                event=(int(band[fall]) + 1, int(band[rise]) + 1),
-                chain_ranks=M_rank.copy(),
+                sweep_x=float(P.x[P.rep[g]]),
+                interval=(form.lo, form.hi),
+                order=tuple(row + 1 for row in sorted(now, key=now.get)),
+                event=tuple(row + 1 for row in lines),
+                chain_ranks=np.array(M_rank, dtype=np.int64),
                 events_processed=processed,
             ))
-    if pending:
-        raise AssertionError("sweep stalled on non-adjacent intersections")
-    return M_rank, chains, processed
+    for o in range(len(sky)):
+        fold(o, P.rep.size)
+    return np.array(M_rank, dtype=np.int64), chains, int(np.count_nonzero(P.point[cross]))
 
 
-def _verified_chain(values: np.ndarray, band: np.ndarray, sky_sorted: np.ndarray,
-                    M_rank: np.ndarray, chains, col: int,
-                    interval: tuple[float, float]) -> tuple[tuple[int, ...], int]:
+def _verified_chain(form: _Form, band: np.ndarray, M_rank: np.ndarray, chains,
+                    col: int) -> tuple[tuple[int, ...], int]:
     """Best chain of DP column ``col`` as (sorted tuple indices, value).
 
     The chain is re-ranked among the band's lines over the closed
-    interval, by the evaluator of ``exact_chain_rank``; at most K that is
-    its rank among all lines.  The sweep's ranks are one-sided at exact
-    score ties, so its value can differ there: that raises rather than
-    returning a wrong value.
+    interval by the evaluator of ``exact_chain_rank``; at most K that is
+    its rank among all lines.  A difference from the sweep's value
+    raises rather than returning a wrong value.
     """
     best_ord = int(np.argmin(M_rank[:, col]))
     value = int(M_rank[best_ord, col])
-    rows = np.sort(sky_sorted[chains[best_ord][col].rows()])
-    exact = _worst_rank(values[band], np.searchsorted(band, rows), interval)
+    rows = np.sort(form.sky[chains[best_ord][col].rows()])
+    exact = _worst_rank(form, band, rows)
     if exact != value:
         raise AssertionError(
-            f"sweep value {value} differs from the re-ranked value {exact} of its "
-            f"set; exact score ties break the sweep"
+            f"sweep value {value} differs from the re-ranked value {exact} of its set"
         )
     return tuple(int(row) + 1 for row in rows), value
+
+
+def _params(form: _Form, space, **extra) -> dict:
+    return {"interval": [form.lo, form.hi], "skyline_size": int(form.sky.size), **extra,
+            "halfspaces": [list(h) for h in (space.halfspaces if space else ())]}
 
 
 def solve_rrm_2d(D: Dataset, r: int, space: RestrictedSpace | None = None,
@@ -347,52 +568,39 @@ def solve_rrm_2d(D: Dataset, r: int, space: RestrictedSpace | None = None,
     """Minimum worst-case rank-regret over subsets of size at most r.
 
     The search is confined to the restricted skyline and to the rendered
-    x-interval of the space.  The sweep runs over the K-skyband of the
-    dual lines only (see ``_band``), for K = 1, 2, 4, ...: at every x a
-    line's rank among the band equals its rank among all lines whenever
-    either is at most K, so the first K whose optimum is at most K gives
-    the optimum over all lines.  The doubling also stops once the band
-    holds every tuple.  With a ``trace`` callback the band is every tuple
-    from the start, so the callback sees the whole arrangement.
-
-    Exact on data without exact score ties.  On tied data (rounded or
-    integer attributes, duplicate tuples) the sweep's ranks are one-sided
-    at the tie points, so the returned set is re-ranked over the closed
-    interval as ``exact_chain_rank`` ranks it, and ``AssertionError`` is
-    raised when that differs from the sweep's value or when concurrent
-    crossings stall the sweep: a returned value is always the exact
-    worst rank of the returned set.  Returns the optimal value and one
-    optimal subset (deterministic tie-breaking).
+    x-interval of the space, and ranks are exact (module docstring).
+    The sweep runs over the K-skyband of the dual lines only (see
+    ``_band``): at every x a line's rank among the band equals its rank
+    among all lines whenever either is at most K, so the first K whose
+    optimum over the band is at most K gives the optimum over all lines.
+    A rank among the band never exceeds the rank among all lines, so a
+    band optimum above K bounds the optimum from below, and the next
+    round takes K = max(2K, that optimum).  The rounds also stop once the
+    band holds every tuple.  With a ``trace`` callback the band is every
+    tuple from the start, so the callback sees the whole arrangement.
+    The returned set is re-ranked as ``exact_chain_rank`` ranks it.
+    Returns the optimal value and one optimal subset (deterministic
+    tie-breaking).
     """
     if D.d != 2:
         raise ValueError("solve_rrm_2d requires d = 2; use the HD solver otherwise")
     n = D.n
     if not 1 <= r <= n:
         raise ValueError(f"budget r must be in 1..{n}, got {r}")
-    interval = render_scene(space)
-    sky_sorted = _skyline_by_slope(D, space)
-
+    form = _Form.of(D, space)
     K = 1 if trace is None else n
     events = 0
     while True:
-        band = _band(D.values, sky_sorted, interval, K)
-        M_rank, chains, processed = _sweep(D.values, band, sky_sorted, r, interval, trace)
+        band = _band(form, K)
+        M_rank, chains, processed = _sweep(form, band, r, trace)
         events += processed
-        if int(M_rank[:, r - 1].min()) <= K or band.size == n:
+        value = int(M_rank[:, r - 1].min())
+        if value <= K or band.size == n:
             break
-        K *= 2
-    indices, value = _verified_chain(D.values, band, sky_sorted, M_rank, chains, r - 1,
-                                     interval)
-    params = {
-        "algo": "2d",
-        "r": r,
-        "interval": list(interval),
-        "skyline_size": len(sky_sorted),
-        "band_k": K,
-        "band_size": int(band.size),
-        "events": events,
-        "halfspaces": [list(h) for h in (space.halfspaces if space else ())],
-    }
+        K = max(2 * K, value)
+    indices, value = _verified_chain(form, band, M_rank, chains, r - 1)
+    params = {"algo": "2d", "r": r, **_params(form, space, band_k=K, band_size=int(band.size),
+                                              events=events)}
     return RegretResult(indices, len(indices), value, params)
 
 
@@ -403,47 +611,29 @@ def solve_rrr_2d(D: Dataset, k: int, space: RestrictedSpace | None = None) -> Re
     |skyline|: DP column h is the optimum for budget h + 1 and depends
     only on the columns to its left, and wherever it is at most k it is
     exact over all lines, so the first column whose minimum is at most k
-    gives the minimum size.
-
-    Exact on data without exact score ties.  On tied data the returned
-    set is re-ranked as in ``solve_rrm_2d``, and ``AssertionError`` is
-    raised when its value differs from the sweep's; a returned value is
-    always the exact worst rank of the returned set, and it is at most k.
+    gives the minimum size.  The returned set is re-ranked as in
+    ``solve_rrm_2d``; its value is at most k.
     """
     if D.d != 2:
         raise ValueError("solve_rrr_2d requires d = 2")
     if not 1 <= k <= D.n:
         raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
-    interval = render_scene(space)
-    sky_sorted = _skyline_by_slope(D, space)
-    s = len(sky_sorted)
-    band = _band(D.values, sky_sorted, interval, k)
-    M_rank, chains, processed = _sweep(D.values, band, sky_sorted, s, interval)
+    form = _Form.of(D, space)
+    band = _band(form, k)
+    M_rank, chains, processed = _sweep(form, band, form.sky.size)
     fits = np.flatnonzero(M_rank.min(axis=0) <= k)
     if fits.size == 0:
         # a skyline rank above k among the band's lines is above k among all
-        sky_rows = np.searchsorted(band, np.sort(sky_sorted))
-        if _worst_rank(D.values[band], sky_rows, interval) <= k:
+        if _worst_rank(form, band, np.sort(form.sky)) <= k:
             raise AssertionError(
-                f"the sweep puts the whole skyline above rank {k}, re-ranking does "
-                f"not; exact score ties break the sweep"
+                f"the sweep puts the whole skyline above rank {k}, re-ranking does not"
             )
         raise ValueError(
             f"no subset reaches worst-case rank {k}; the skyline's worst rank "
             f"exceeds {k}"
         )
     col = int(fits[0])
-    indices, value = _verified_chain(D.values, band, sky_sorted, M_rank, chains, col,
-                                     interval)
-    params = {
-        "algo": "2d-rrr",
-        "r": col + 1,
-        "interval": list(interval),
-        "skyline_size": s,
-        "band_k": k,
-        "band_size": int(band.size),
-        "events": processed,
-        "halfspaces": [list(h) for h in (space.halfspaces if space else ())],
-        "k": k,
-    }
+    indices, value = _verified_chain(form, band, M_rank, chains, col)
+    params = {"algo": "2d-rrr", "r": col + 1, **_params(
+        form, space, band_k=k, band_size=int(band.size), events=processed), "k": k}
     return RegretResult(indices, len(indices), value, params)

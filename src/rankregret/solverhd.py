@@ -413,8 +413,9 @@ class _HdInstance:
         return self.order
 
 
-def _search(inst: _HdInstance, r: int) -> RegretResult:
-    """Smallest threshold whose greedy cover on the instance fits budget r."""
+def _search(inst: _HdInstance, r: int) -> tuple[int, tuple[int, ...], list]:
+    """Smallest threshold whose greedy cover on the instance fits budget
+    r, as (threshold, cover, the (k, size) of every cover built)."""
     D, disc, B = inst.D, inst.disc, inst.basis
     n = D.n
     calls: list[tuple[int, int]] = []
@@ -445,11 +446,16 @@ def _search(inst: _HdInstance, r: int) -> RegretResult:
             best_k, best_Q = mid, Q
         else:
             lo = mid + 1
+    return best_k, best_Q, calls
 
-    verified = discrete_rank_regret(best_Q, D, disc)
-    if verified > best_k:
+
+def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...], calls: list) -> RegretResult:
+    """The search's cover for budget r, with its cover check re-verified."""
+    D, disc = inst.D, inst.disc
+    verified = discrete_rank_regret(Q, D, disc)
+    if verified > k:
         raise AssertionError(
-            f"cover check failed: discrete rank-regret {verified} exceeds {best_k}"
+            f"cover check failed: discrete rank-regret {verified} exceeds {k}"
         )
     params, space = inst.params, inst.space
     solver_params = {
@@ -465,10 +471,10 @@ def _search(inst: _HdInstance, r: int) -> RegretResult:
         "discrete_rank_regret": verified,
         "cover_calls": calls,
         "order_width": inst.order_width,
-        "basis": list(B),
+        "basis": list(inst.basis),
         "halfspaces": [list(h) for h in (space.halfspaces if space else ())],
     }
-    return RegretResult(best_Q, len(best_Q), best_k, solver_params)
+    return RegretResult(Q, len(Q), k, solver_params)
 
 
 def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = None,
@@ -482,7 +488,8 @@ def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = N
     ``solver_params["order_width"]`` is the width of the order prefix the
     solve ended with.
     """
-    return _search(_HdInstance(D, params, space, direction_sampler), params.r)
+    inst = _HdInstance(D, params, space, direction_sampler)
+    return _result(inst, params.r, *_search(inst, params.r))
 
 
 def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
@@ -507,26 +514,28 @@ def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
     prev_fail = r - 1
     while True:
         if r > len(inst.basis) or discrete_rank_regret(inst.basis, D, inst.disc) <= k:
-            res = _search(inst, r)
-            if res.rank_regret <= k:
+            found = _search(inst, r)
+            if found[0] <= k:
                 break
         prev_fail = r
         if r >= n:
             raise AssertionError("budget n must reach threshold 1")
         r = min(2 * r, n)
-    best = res
+    best = r, found
     lo, hi = prev_fail + 1, r
     while lo < hi:
         mid = (lo + hi) // 2
-        res = _search(inst, mid)
-        if res.rank_regret <= k:
+        found = _search(inst, mid)
+        if found[0] <= k:
             hi = mid
-            best = res
+            best = mid, found
         else:
             lo = mid + 1
-    params_out = dict(best.solver_params)
+    # only the returned cover is verified; the discarded attempts are not
+    res = _result(inst, best[0], *best[1])
+    params_out = dict(res.solver_params)
     params_out.update({"algo": "hd-rrr", "k": k, "order_width": inst.order_width})
-    return RegretResult(best.selected_indices, best.size, best.rank_regret, params_out)
+    return RegretResult(res.selected_indices, res.size, res.rank_regret, params_out)
 
 
 def linear_scan_cover_sizes(D: Dataset, params: HdParams,

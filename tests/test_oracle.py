@@ -63,7 +63,8 @@ class TestExhaustiveRrm:
         assert rep.method == "exhaustive-sampled"
         assert 1 <= rep.optimal_value <= 12
         for S in rep.optimal_sets:
-            assert rr.sampled_rank_regret(S, D, 5_000, 3) == rep.optimal_value
+            est = rr.estimate_rank_regret(S, D, 5_000, 3).estimated_rank_regret
+            assert est == rep.optimal_value
 
     def test_guard(self):
         D = rr.arc_dataset(300)
@@ -121,7 +122,7 @@ class TestSampledLowerBound:
         D = random_dataset(20, 2, seed=82)
         S = [2, 7]
         exact = rr.exact_chain_rank(S, D)
-        assert rr.sampled_rank_regret(S, D, 20_000, 83) <= exact
+        assert rr.estimate_rank_regret(S, D, 20_000, 83).estimated_rank_regret <= exact
 
 
 class TestExactRatK2d:

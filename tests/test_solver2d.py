@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,17 +282,18 @@ class TestSweepInternals:
         assert res.rank_regret == rr.exact_chain_rank(res.selected_indices, D)
 
     def test_concurrent_crossings_decompose(self):
-        # three lines through one exact point (all pairwise crossings are
-        # the float 0.5): the swap decomposition must process every pair
-        # exactly once, deferring pops that are momentarily non-adjacent
+        # three lines through one exact point (x = 0.5, y = 0.5): the
+        # sweep takes their three crossings as one batch, with the lines
+        # ordered by slope just left of the point and reversed right of it
         vals = np.array([[0.75, 0.25], [0.5, 0.5], [1.0, 0.0]])
         D = rr.Dataset(vals, normalized=False)
         events = []
         res = rr.solve_rrm_2d(D, 2, trace=events.append)
-        processed = [tuple(sorted(st.event)) for st in events]
-        assert len(processed) == len(set(processed))
-        assert set(processed) == {(1, 2), (1, 3), (2, 3)}
-        assert all(st.sweep_x == 0.5 for st in events)
+        assert len(events) == 1
+        batch = events[0]
+        assert batch.sweep_x == 0.5 and batch.events_processed == 3
+        assert batch.event == (2, 1, 3)
+        assert batch.order == (3, 1, 2)
         ref = rr.exhaustive_rrm(D, 2)
         assert res.rank_regret == ref.optimal_value == 2
 
@@ -344,13 +346,14 @@ class TestSkybandSweep:
         assert res.rank_regret <= res.solver_params["band_k"]
 
     def test_band_keeps_lines_tied_at_an_end(self):
-        # the lines meet at x = 1, but their crossing comes out as 1 - 1ulp,
-        # where the float scores put tuple 2 level with tuple 1; the band
-        # must keep tuple 2 to agree with exact_chain_rank there
+        # the lines meet exactly at x = 1, where tuple 1 wins the tie by
+        # index; so it outranks tuple 2 at both ends, the exact band drops
+        # tuple 2, and tuple 1 ranks first at every x
         D = rr.Dataset([[1.0, 0.3], [1.0, 0.0]], normalized=False)
         res = rr.solve_rrm_2d(D, 1)
-        assert res.solver_params["band_size"] == 2
-        assert res.rank_regret == rr.exact_chain_rank(res.selected_indices, D)
+        assert (res.selected_indices, res.rank_regret) == ((1,), 1)
+        assert res.solver_params["band_size"] == 1
+        assert rr.exact_chain_rank([1], D) == 1
 
 
 def _tied_values(data):
@@ -370,21 +373,83 @@ def test_tied_data_returns_verified_values_or_raises(data, weak):
     space = rr.RestrictedSpace.weak_ranking(2) if weak else None
     interval = rr.render_scene(space)
     r = data.draw(st.integers(1, min(3, D.n)))
-    try:
-        res = rr.solve_rrm_2d(D, r, space)
-    except AssertionError:
-        pass
-    else:
-        assert res.size <= r
-        assert res.rank_regret == rr.exact_chain_rank(res.selected_indices, D, interval)
+    res = rr.solve_rrm_2d(D, r, space)
+    assert res.size <= r
+    assert res.rank_regret == rr.exact_chain_rank(res.selected_indices, D, interval)
     k = data.draw(st.integers(1, D.n))
     try:
         res = rr.solve_rrr_2d(D, k, space)
-    except AssertionError:
-        pass
     except ValueError:
         sky = rr.restricted_skyline(D, space).indices
         assert rr.exact_chain_rank(sky, D, interval) > k
     else:
         assert res.rank_regret == rr.exact_chain_rank(res.selected_indices, D, interval)
         assert res.rank_regret <= k
+
+
+def _fraction_profiles(values, rows, interval):
+    """Rank of each of ``rows`` at every crossing of their lines inside
+    the interval, at its ends and at the midpoint between consecutive
+    points, all in Fraction arithmetic with ties to the lower index: an
+    exact reference apart from the library's float keys."""
+    lines = [(Fraction(v1), Fraction(v0) - Fraction(v1)) for v0, v1 in values.tolist()]
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    pts = {lo, hi}
+    for m in rows:
+        bm, sm = lines[m]
+        pts.update(x for x in ((b - bm) / (sm - s) for b, s in lines if s != sm)
+                   if lo <= x <= hi)
+    pts = sorted(pts)
+    pts += [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+    out = {m: [] for m in rows}
+    for x in pts:
+        y = [b + s * x for b, s in lines]
+        for m in rows:
+            out[m].append(1 + sum(1 for c, yc in enumerate(y)
+                                  if yc > y[m] or (yc == y[m] and c < m)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), weak=st.booleans())
+def test_tied_data_matches_fraction_oracle(data, weak):
+    D = rr.Dataset(_tied_values(data), normalized=False)
+    space = rr.RestrictedSpace.weak_ranking(2) if weak else None
+    interval = rr.render_scene(space)
+    sky = [i - 1 for i in rr.restricted_skyline(D, space).indices]
+    S = data.draw(st.lists(st.integers(0, D.n - 1), min_size=1, max_size=3, unique=True))
+    prof = _fraction_profiles(D.values, sorted(set(sky) | set(S)), interval)
+
+    def worst(rows):
+        return max(min(ranks) for ranks in zip(*(prof[m] for m in rows)))
+
+    def subsets(size):
+        return itertools.combinations(sky, size)
+
+    assert rr.exact_chain_rank([i + 1 for i in S], D, interval) == worst(S)
+    r = data.draw(st.integers(1, min(3, D.n)))
+    best = min(worst(c) for size in range(1, min(r, len(sky)) + 1) for c in subsets(size))
+    res = rr.solve_rrm_2d(D, r, space)
+    assert res.rank_regret == best == worst([i - 1 for i in res.selected_indices])
+    assert rr.exhaustive_rrm(D, r, space).optimal_value == best
+    k = data.draw(st.integers(1, D.n))
+    size = next((size for size in range(1, len(sky) + 1)
+                 if any(worst(c) <= k for c in subsets(size))), None)
+    if size is None:
+        with pytest.raises(ValueError):
+            rr.solve_rrr_2d(D, k, space)
+    else:
+        res = rr.solve_rrr_2d(D, k, space)
+        assert res.size == size
+        assert res.rank_regret == worst([i - 1 for i in res.selected_indices]) <= k
+
+
+def test_middle_line_of_a_concurrent_point():
+    # tuples 1-3 meet at x = 0.5, where tuple 1 ranks first by index; only
+    # a set through tuple 1, whose line tops the set at that point alone,
+    # ranks first everywhere
+    D = rr.Dataset([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0], [0.3, 0.3]])
+    res = rr.solve_rrm_2d(D, 3)
+    assert (res.selected_indices, res.rank_regret) == ((1, 2, 3), 1)
+    assert rr.solve_rrm_2d(D, 2).rank_regret == 2
+    assert rr.solve_rrr_2d(D, 1).selected_indices == (1, 2, 3)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankregret as rr
-from rankregret import core
+from rankregret import core, solverhd
 from rankregret.datagen import GenSpec, generate
 from rankregret.solverhd import HdParams, NetBoundParams, _descending_order, net_bound_value
 
@@ -349,6 +349,25 @@ class TestSolveRrrHd:
             got = rr.solve_rrr_hd(D, k, base)
             assert (got.selected_indices, got.rank_regret) == \
                 (want.selected_indices, want.rank_regret)
+
+    def test_verifies_only_the_returned_set(self, monkeypatch):
+        # the discarded budget attempts are not re-verified: besides the
+        # check that decides the basis-only budget, discrete_rank_regret
+        # runs once, on the returned set
+        D = generate(GenSpec("anti-correlated", 200, 3, seed=7))
+        base = HdParams(r=3, gamma=4, m=300, seed=7)
+        real = solverhd.discrete_rank_regret
+        sets = []
+
+        def counting(S, D, disc):
+            sets.append(tuple(S))
+            return real(S, D, disc)
+
+        monkeypatch.setattr(solverhd, "discrete_rank_regret", counting)
+        res = rr.solve_rrr_hd(D, 10, base)
+        assert sets[-1] == res.selected_indices
+        assert set(sets[:-1]) <= {tuple(D.basis_indices)}
+        assert res.solver_params["discrete_rank_regret"] <= 10
 
     def test_basis_only_budget_does_not_widen_the_prefix(self):
         # the basis alone reaches only a deep threshold here; deciding that
