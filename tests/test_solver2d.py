@@ -387,6 +387,25 @@ def test_tied_data_returns_verified_values_or_raises(data, weak):
         assert res.rank_regret <= k
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), weak=st.booleans(), K=st.integers(1, 6))
+def test_band_is_the_skyband_of_the_exact_end_ranks(data, weak, K):
+    # the heap count in _band against skyline.skyband of the two columns
+    # of exact end ranks, joined with the skyline rows
+    from rankregret.skyline import skyband
+    from rankregret.solver2d import _band, _Form
+
+    D = rr.Dataset(_tied_values(data), normalized=False)
+    form = _Form.of(D, rr.RestrictedSpace.weak_ranking(2) if weak else None)
+    lo_order, hi_rank = form.ends
+    ranks = np.empty((D.n, 2))
+    ranks[lo_order, 0] = np.arange(D.n)
+    ranks[:, 1] = hi_rank
+    inside = skyband(-ranks, K)
+    inside[form.sky] = True
+    assert _band(form, K).tolist() == np.flatnonzero(inside).tolist()
+
+
 def _fraction_profiles(values, rows, interval):
     """Rank of each of ``rows`` at every crossing of their lines inside
     the interval, at its ends and at the midpoint between consecutive
