@@ -6,6 +6,15 @@ rank of a tuple is its 1-based position in the descending score order,
 and the rank-regret of a subset is the best (minimum) rank among its
 members.  Score ties are broken deterministically: the tuple with the
 lower index ranks better, which makes ranks a bijection onto 1..n.
+
+A score is the canonical float value of u . t (``_canonical``): the d
+products rounded one by one and summed left to right, with no BLAS and
+no fused multiply-add, so it is the same number however many vectors or
+tuples a call holds.  Every rank in the library follows it.  Batched
+kernels use BLAS products only as keys: a key lies within a bound of the
+canonical score (``_key_slack``), keys farther apart than that order as
+the scores do, and only keys within it of the score that decides a rank
+are re-scored canonically.
 """
 
 from __future__ import annotations
@@ -304,8 +313,8 @@ class RegretResult:
 
 
 def scores(D: Dataset, u) -> np.ndarray:
-    """Scores of all tuples under u, indexed 0..n-1."""
-    return D.values @ as_weight_array(u, D.d)
+    """Canonical scores of all tuples under u, indexed 0..n-1."""
+    return _canonical(as_weight_array(u, D.d)[None, :], D.values)[0]
 
 
 def score(u, record) -> float:
@@ -327,16 +336,14 @@ def rank(u, t_index: int, D: Dataset) -> int:
 def rank_regret_of_set(u, S: Iterable[int], D: Dataset) -> int:
     """Best (minimum) rank among the members of S under u."""
     rows = _set_rows(S, D.n)
-    sc = scores(D, u)
-    return int(_min_rank_rows(sc[None, :], rows)[0])
+    return int(_min_rank_rows(scores(D, u)[None, :], rows)[0])
 
 
 def top_k(u, k: int, D: Dataset) -> list[int]:
     """The k best tuple indices under u, in rank order."""
     if not 1 <= k <= D.n:
         raise ValueError(f"k must be in 1..{D.n}, got {k}")
-    sc = scores(D, u)
-    order = np.argsort(-sc, kind="stable")  # stable sort = index tie rule
+    order = np.argsort(-scores(D, u), kind="stable")  # stable sort = index tie rule
     return [int(i) + 1 for i in order[:k]]
 
 
@@ -366,10 +373,11 @@ def _set_rows(S: Iterable[int], n: int) -> np.ndarray:
 def _min_rank_rows(score_block: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Minimum rank of the tuple set over each utility row of a score block.
 
-    This is the one vectorised statement of the tie rule.  The set's best
-    rank is the rank of its best-scoring member; among equal scores the
-    member with the lowest index wins, which ``rows`` being sorted
-    guarantees via the first argmax.
+    This is the tie rule on a dense block of canonical scores;
+    ``min_ranks_for_vectors`` applies the same rule to the few keys it
+    re-scores.  The set's best rank is the rank of its best-scoring
+    member; among equal scores the member with the lowest index wins,
+    which ``rows`` being sorted guarantees via the first argmax.
     """
     sub = score_block[:, rows]
     pick = rows[np.argmax(sub, axis=1)]
@@ -388,6 +396,9 @@ def _min_rank_rows(score_block: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # Scores held at once by a blocked rank or score pass (16 MiB of float64).
 _BLOCK_CELLS = 1 << 21
 
+# Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 
 def _score_blocks(block_scores, count: int, n: int):
     """Yield ``(sl, scores)`` for consecutive slices ``sl`` of ``count``
@@ -403,19 +414,150 @@ def _score_blocks(block_scores, count: int, n: int):
         yield sl, block_scores(sl)
 
 
-def _min_ranks(block_scores, count: int, n: int, rows: np.ndarray) -> np.ndarray:
-    """``_min_rank_rows`` over all ``count`` utility rows, block by block."""
-    out = np.empty(count, dtype=np.int64)
-    for sl, block in _score_blocks(block_scores, count, n):
-        out[sl] = _min_rank_rows(block, rows)
+def _canonical_at(V: np.ndarray, X: np.ndarray, i, t) -> np.ndarray:
+    """Canonical scores ``V[i] . X[t]`` for index arrays i and t that
+    broadcast against each other.
+
+    This is the library's definition of a score: the d products are
+    rounded one by one and summed left to right, by separate numpy
+    ufuncs, so no BLAS kernel and no fused multiply-add is involved and
+    the result does not depend on the shape of the call.
+    """
+    out = V[i, 0] * X[t, 0]
+    for j in range(1, X.shape[1]):
+        out += V[i, j] * X[t, j]
     return out
+
+
+def _canonical(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Canonical scores of every row of V against every row of X (m x n)."""
+    return _canonical_at(V, X, np.arange(V.shape[0])[:, None], np.arange(X.shape[0])[None, :])
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the relative error bound of a
+    k-term float dot product in any summation order."""
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+def _key_slack(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per utility row u of V, a bound W(u) such that every float
+    evaluation of u . t (a BLAS key: any summation order, fused or not)
+    lies within W(u) of the canonical score of every tuple t of X.
+
+    Both differ from the exact u . t by at most gamma_d sum_j |u_j t_j|,
+    so 2 gamma_d sum_j |u_j| max_t |t_j| bounds their distance; using
+    gamma_{d+4} also absorbs the rounding of this bound and of a key
+    plus or minus it, and the last term absorbs underflow.
+    """
+    d = X.shape[1]
+    scale = np.abs(V) @ np.abs(X).max(axis=0)
+    return 2 * _gamma(d + 4) * scale + 4 * d * np.finfo(float).smallest_subnormal
+
+
+def _direction_cells(V: np.ndarray, n: int) -> np.ndarray:
+    """A cell label for every utility row of V, grouping nearby directions.
+
+    Each row's polar angles theta_i = atan2(|u_{i+1..d}|, u_i) are binned
+    into equal slices of their range.  A cell costs a fixed overhead plus
+    one bound per tuple, so it gets at least 64 rows and, against n
+    tuples, at least 2**16 keys: its bounds then cost about 2d/64 of
+    keying its rows, and the overhead stays small against the keys.  Any
+    labelling is correct: cells only decide how many tuples the per-cell
+    bounds of ``_candidate_blocks`` can drop.
+    """
+    N, d = V.shape
+    cells = N / max(64, 2 ** 16 / n)
+    per_angle = max(1, int(round(cells ** (1 / (d - 1)))))
+    tails = np.sqrt(np.cumsum((V ** 2)[:, ::-1], axis=1)[:, ::-1])
+    theta = np.arctan2(tails[:, 1:], V[:, :-1])
+    lo, hi = theta.min(axis=0), theta.max(axis=0)
+    bins = np.floor((theta - lo) / np.maximum(hi - lo, 1e-300) * per_angle).astype(np.int64)
+    return np.ravel_multi_index(np.minimum(bins, per_angle - 1).T, (per_angle,) * (d - 1))
+
+
+def _set_best(D: Dataset, V: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per utility row, the set's best canonical score and the 0-based
+    member reaching it (the lowest such index, as ``rows`` is sorted)."""
+    set_scores = _canonical(V, D.values[rows])
+    at = np.argmax(set_scores, axis=1)
+    return set_scores[np.arange(V.shape[0]), at], rows[at]
+
+
+def _candidate_blocks(D: Dataset, V: np.ndarray, best: np.ndarray, rows: np.ndarray):
+    """Yield ``(ids, cand, keys)``: utility rows ``ids`` of V, the sorted
+    0-based tuples ``cand`` that can reach those rows' set-best score
+    ``best``, and their BLAS keys ``V[ids] @ X[cand].T``.
+
+    Rows are grouped into direction cells (``_direction_cells``).  Over a
+    cell, a tuple scores at most the product of its positive and negative
+    parts with the componentwise max and min of the cell's rows; a tuple
+    whose bound stays below the cell's lowest set-best by more than the
+    rounding of both sides scores below the set's best member at every
+    row of the cell, canonically and by key, and is dropped.  The rows of
+    the set are always kept.  Each yielded block holds at most
+    ``_BLOCK_CELLS`` keys (one row when the candidates alone exceed it).
+    """
+    X = D.values
+    n, d = X.shape
+    if not V.shape[0]:
+        return
+    label = _direction_cells(V, n)
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    ends = np.append(starts[1:], order.size)
+    hi = np.maximum.reduceat(V[order], starts)
+    lo = np.minimum.reduceat(V[order], starts)
+    reach = np.maximum(np.abs(hi), np.abs(lo)) @ np.abs(X).max(axis=0)
+    floor = (np.minimum.reduceat(best[order], starts)
+             - 4 * _gamma(2 * d + 4) * reach - 8 * d * np.finfo(float).smallest_subnormal)
+    corners = np.hstack([hi, -lo])
+    signed_T = np.vstack([np.maximum(X, 0.0).T, np.maximum(-X, 0.0).T])
+
+    def bounds(sl):
+        return corners[sl] @ signed_T
+
+    for sl, bound in _score_blocks(bounds, starts.size, n):
+        keep = bound >= floor[sl, None]
+        keep[:, rows] = True
+        for c, row in enumerate(keep, start=sl.start):
+            cand = np.flatnonzero(row)
+            ids = order[starts[c]:ends[c]]
+            XcT = X[cand].T
+            step = max(1, _BLOCK_CELLS // cand.size)
+            for at in range(0, ids.size, step):
+                sub = ids[at:at + step]
+                yield sub, cand, V[sub] @ XcT
 
 
 def min_ranks_for_vectors(D: Dataset, vectors: np.ndarray, S: Iterable[int]) -> np.ndarray:
     """Rank-regret of the set S for every utility row of ``vectors``.
 
-    Peak working memory is O(``_BLOCK_CELLS``) scores plus the output.
+    Ranks follow the canonical score.  Keys farther than ``_key_slack``
+    above the set's best canonical score outrank it; only keys within
+    that slack of it are re-scored canonically and ranked under the index
+    tie rule.  Tuples that cannot reach the set's best score anywhere in
+    a direction cell are never keyed (``_candidate_blocks``).  Peak
+    working memory is O(``_BLOCK_CELLS``) keys plus the set's N x |S|
+    canonical scores and the output.
     """
     rows = _set_rows(S, D.n)
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
-    return _min_ranks(lambda sl: V[sl] @ D.values.T, V.shape[0], D.n, rows)
+    best, pick = _set_best(D, V, rows)
+    slack = _key_slack(V, D.values)
+    out = np.empty(V.shape[0], dtype=np.int64)
+    for ids, cand, keys in _candidate_blocks(D, V, best, rows):
+        b, w = best[ids, None], slack[ids, None]
+        above = np.count_nonzero(keys > b + w, axis=1)
+        out[ids] = 1 + above
+        # the set's own best member is always within the slack of its
+        # score; rows with any other key there are re-ranked canonically
+        some = np.flatnonzero(np.count_nonzero(keys >= b - w, axis=1) - above > 1)
+        if some.size:
+            sub = keys[some]
+            i, j = np.nonzero((sub >= b[some] - w[some]) & (sub <= b[some] + w[some]))
+            at, t = ids[some[i]], cand[j]
+            c = _canonical_at(V, D.values, at, t)
+            beats = (c > best[at]) | ((c == best[at]) & (t < pick[at]))
+            out[ids[some]] += np.bincount(i[beats], minlength=some.size)
+    return out

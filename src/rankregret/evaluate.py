@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, RestrictedSpace, _score_blocks, _set_rows, min_ranks_for_vectors
+from .core import (Dataset, RestrictedSpace, _candidate_blocks, _set_best, _set_rows,
+                   min_ranks_for_vectors)
 from .solverhd import sample_sphere
 
 
@@ -69,21 +70,24 @@ def max_regret_ratio(S, D: Dataset, samples: int, seed: int,
     """Sampled maximum of (best score in D minus best score in S) / best score.
 
     Directions where the dataset's best score is not positive carry no
-    ratio and are skipped with a warning.  Peak working memory is
-    O(``_BLOCK_CELLS``) scores plus the samples.
+    ratio and are skipped with a warning.  Scores are BLAS keys over the
+    candidate blocks of ``core._candidate_blocks``: the dataset's
+    top-scoring tuple is always a candidate.  Peak working memory is
+    O(``_BLOCK_CELLS``) keys plus the samples.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rows = _set_rows(S, D.n)
     V = sample_sphere(D.d, samples, seed, space)
+    best, _ = _set_best(D, V, rows)
     worst = 0.0
     skipped = 0
-    for _, sc in _score_blocks(lambda sl: V[sl] @ D.values.T, len(V), D.n):
-        top = sc.max(axis=1)
+    for _, cand, keys in _candidate_blocks(D, V, best, rows):
+        top = keys.max(axis=1)
         ok = top > 0
         skipped += int((~ok).sum())
         if ok.any():
-            best_s = sc[np.ix_(ok, rows)].max(axis=1)
+            best_s = keys[np.ix_(ok, np.searchsorted(cand, rows))].max(axis=1)
             ratios = (top[ok] - best_s) / top[ok]
             worst = max(worst, float(ratios.max()))
     if skipped:

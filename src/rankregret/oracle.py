@@ -3,8 +3,9 @@
 Everything here trades time for simplicity: subsets are enumerated
 outright and evaluated either exactly (d = 2, ranks at the critical
 points and in the cells between them, as ``exact_chain_rank`` ranks) or
-by a high-density vector sample (d > 2, a lower bound on the true
-worst case).  A combinatorial guard keeps runs at desk scale.
+by a high-density vector sample (d > 2, ranked on canonical scores as
+``core.rank`` ranks; a lower bound on the true worst case).  A
+combinatorial guard keeps runs at desk scale.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from math import comb
 
 import numpy as np
 
-from .core import Dataset, RestrictedSpace, _min_rank_rows, _score_blocks, _set_rows
+from .core import (Dataset, RestrictedSpace, _canonical, _min_rank_rows, _score_blocks,
+                   _set_rows)
 from .skyline import restricted_skyline
 from .solver2d import _Form, _set_ranks, render_scene
 from .solverhd import sample_sphere
@@ -115,11 +117,11 @@ def _candidate_rows(D: Dataset, space, mode: str) -> np.ndarray:
     raise ValueError(f"unknown candidate mode {mode!r}")
 
 
-def _rank_profiles(block_scores, count: int, n: int, cand: np.ndarray) -> np.ndarray:
-    """Rank of every candidate at each of ``count`` evaluation rows, one
-    singleton-set kernel call per candidate and score block."""
-    out = np.empty((len(cand), count), dtype=np.int32)
-    for sl, block in _score_blocks(block_scores, count, n):
+def _rank_profiles(D: Dataset, V: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Rank of every candidate at each utility row of V, one singleton-set
+    kernel call per candidate and block of canonical scores."""
+    out = np.empty((len(cand), len(V)), dtype=np.int32)
+    for sl, block in _score_blocks(lambda sl: _canonical(V[sl], D.values), len(V), D.n):
         for i in range(len(cand)):
             out[i, sl] = _min_rank_rows(block, cand[i:i + 1])
     return out
@@ -202,7 +204,7 @@ def exhaustive_rrm(D: Dataset, r: int, space: RestrictedSpace | None = None,
         rep_samples = rep_seed = None
     else:
         V = sample_sphere(D.d, samples, seed, space)
-        R = _rank_profiles(lambda sl: V[sl] @ D.values.T, len(V), D.n, cand)
+        R = _rank_profiles(D, V, cand)
         method = "exhaustive-sampled"
         rep_samples, rep_seed = samples, seed
     value, optimal, work = _min_over_subsets(R, cand, r, sets_cap)

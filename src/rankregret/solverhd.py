@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Dataset, RegretResult, RestrictedSpace, _score_blocks,
-                   min_ranks_for_vectors)
+from .core import (Dataset, RegretResult, RestrictedSpace, _canonical, _canonical_at,
+                   _key_slack, _score_blocks, min_ranks_for_vectors)
 from .skyline import basis
 
 SAMPLE_CAP = 1_000_000
@@ -252,45 +252,53 @@ class CoverStructure:
 
 
 def _descending_order(D: Dataset, vectors: np.ndarray, K: int) -> np.ndarray:
-    """First K columns of every vector's descending tuple order, score ties
-    to the lower index: exactly ``np.argsort(-scores, axis=1,
+    """First K columns of every vector's descending tuple order by
+    canonical score, ties to the lower index: exactly
+    ``np.argsort(-core._canonical(vectors, D.values), axis=1,
     kind="stable")[:, :K]``.
 
-    Each score block is partitioned to its top K and only that prefix is
-    sorted.  A row with two equal scores in the prefix is re-sorted
-    stably from index order; a row whose K-th score also occurs outside
-    the prefix, where the partition chose among the tied tuples
-    arbitrarily, is sorted stably in full.  Peak working memory is
+    Each block of BLAS keys is partitioned to its top K and only that
+    prefix is sorted.  Keys farther apart than twice ``core._key_slack``
+    order as their canonical scores do.  A row with two adjacent prefix
+    keys closer than that is re-sorted stably on canonical scores from
+    index order; a row with a key outside the prefix that close to its
+    K-th key, where the partition may have chosen the wrong tuples, is
+    sorted stably in full on canonical scores.  Peak working memory is
     O(``_BLOCK_CELLS``) cells whatever K is, plus the N x K output.
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     if not 1 <= K <= D.n:
         raise ValueError(f"order width K must be in 1..{D.n}, got {K}")
+    X = D.values
+    near = 2 * _key_slack(V, X)
 
-    def negated_scores(sl):
-        block = V[sl] @ D.values.T
+    def negated_keys(sl):
+        block = V[sl] @ X.T
         return np.negative(block, out=block)
 
     out = np.empty((V.shape[0], K), dtype=np.int32)
-    # A block row holds its n scores and either their partition (16n bytes)
+    # A block row holds its n keys and either their partition (16n bytes)
     # or about six K-wide arrays (48K bytes).  Sizing blocks on n + 3K cells
     # keeps a block's peak near 16 * _BLOCK_CELLS bytes for every K, so the
     # memory of a solve does not depend on how deep its thresholds go.
-    for sl, neg in _score_blocks(negated_scores, V.shape[0], D.n + 3 * K):
+    for sl, neg in _score_blocks(negated_keys, V.shape[0], D.n + 3 * K):
         # int32 indices keep the working set small when K is close to n
         top = np.argpartition(neg, K - 1, axis=1)[:, :K].astype(np.int32)
         top_neg = _take_rows(neg, top)
         pos = np.argsort(top_neg, axis=1)
         rows = _take_rows(top, pos)
         sorted_neg = _take_rows(top_neg, pos)
-        tied = np.flatnonzero((sorted_neg[:, 1:] == sorted_neg[:, :-1]).any(axis=1))
-        if tied.size:
-            by_index = np.sort(top[tied], axis=1)
-            keys = _take_rows(neg[tied], by_index)
-            rows[tied] = _take_rows(by_index, np.argsort(keys, axis=1, kind="stable"))
-        spill = np.flatnonzero(np.count_nonzero(neg <= sorted_neg[:, K - 1:], axis=1) > K)
+        gap = near[sl, None]
+        close = np.flatnonzero((np.diff(sorted_neg, axis=1) <= gap).any(axis=1))
+        if close.size:
+            by_index = np.sort(top[close], axis=1)
+            ids = np.arange(sl.start, sl.stop)[close]
+            score = _canonical_at(V, X, ids[:, None], by_index)
+            rows[close] = _take_rows(by_index, np.argsort(-score, axis=1, kind="stable"))
+        spill = np.flatnonzero(np.count_nonzero(neg <= sorted_neg[:, K - 1:] + gap, axis=1) > K)
         if spill.size:
-            rows[spill] = np.argsort(neg[spill], axis=1, kind="stable")[:, :K]
+            score = _canonical(V[sl][spill], X)
+            rows[spill] = np.argsort(-score, axis=1, kind="stable")[:, :K]
         out[sl] = rows
     return out
 
@@ -457,6 +465,13 @@ def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...], calls: list) 
         raise AssertionError(
             f"cover check failed: discrete rank-regret {verified} exceeds {k}"
         )
+    # the order prefix is the canonical order, at least k wide: the first
+    # vector with no member of Q in its first verified - 1 places is where
+    # Q's rank is verified
+    early = np.isin(inst.order[:, :verified - 1], np.asarray(Q) - 1).any(axis=1)
+    witness = int(np.argmin(early))
+    if early[witness]:
+        raise AssertionError(f"no vector of the order prefix reaches rank {verified}")
     params, space = inst.params, inst.space
     solver_params = {
         "algo": "hd",
@@ -469,6 +484,7 @@ def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...], calls: list) 
         "grid_size": int(disc.grid_part.shape[0]),
         "discretization_size": disc.size,
         "discrete_rank_regret": verified,
+        "witness": {"index": witness, "vector": disc.vectors[witness].tolist()},
         "cover_calls": calls,
         "order_width": inst.order_width,
         "basis": list(inst.basis),
@@ -486,7 +502,10 @@ def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = N
     still fits.  The reported rank_regret is that threshold; the direct
     cover check on the returned set is re-verified before returning.
     ``solver_params["order_width"]`` is the width of the order prefix the
-    solve ended with.
+    solve ended with.  ``solver_params["witness"]`` holds the row index
+    and the vector of the first discretization vector at which the set's
+    rank is ``discrete_rank_regret``, so ``rank_regret_of_set(vector, S,
+    D)`` re-checks that number.
     """
     inst = _HdInstance(D, params, space, direction_sampler)
     return _result(inst, params.r, *_search(inst, params.r))

@@ -1,10 +1,12 @@
 import tracemalloc
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rankregret import Dataset
+from rankregret import Dataset, core, polar_grid, sample_sphere
 
 # Worked 7-tuple example used throughout: two attributes, skyline
 # {1,2,3,4,7}, boundary tuples t1 (A2=1) and t7 (A1=1).
@@ -65,3 +67,55 @@ def grid_tables(d: int):
 # Score-block budgets (core._BLOCK_CELLS): tiny ones force many blocks, and
 # one row per block once n exceeds the budget.
 block_budgets = st.sampled_from([1, 5, 1 << 21])
+
+
+def hd_tables(d: int):
+    """Clipped, one-decimal and integer-grid tables with duplicate rows and
+    coordinate-rotated rows: exact and near score ties under float vectors,
+    where BLAS keys and canonical scores can order tuples differently."""
+    clipped = st.floats(-0.4, 1.4).map(lambda x: min(max(x, 0.0), 1.0))
+    one_decimal = st.integers(0, 10).map(lambda k: k / 10)
+    entries = st.sampled_from([clipped, one_decimal, st.integers(0, 3).map(float)])
+    rows = entries.flatmap(lambda e: st.lists(st.lists(e, min_size=d, max_size=d),
+                                              min_size=1, max_size=10))
+
+    def grow(r):
+        rotated = st.lists(st.sampled_from(r).map(lambda t: t[1:] + t[:1]), max_size=3)
+        extra = st.tuples(st.lists(st.sampled_from(r), max_size=4), rotated)
+        return extra.flatmap(lambda e: st.permutations(r + e[0] + e[1]))
+
+    return rows.flatmap(grow).map(lambda r: np.asarray(r, dtype=float))
+
+
+def utility_rows(d: int):
+    """Stacks of polar-grid vectors (with their cos(pi/2) = 6.1e-17
+    components), unit-sphere samples, integer vectors and vectors with
+    negative components."""
+    grid = st.integers(1, 3).map(lambda g: polar_grid(d, g))
+    samples = st.tuples(st.integers(1, 20), st.integers(0, 999)).map(
+        lambda a: sample_sphere(d, a[0], a[1]))
+    ints = st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(any),
+                    min_size=1, max_size=6).map(lambda v: np.asarray(v, dtype=float))
+    signed = st.lists(st.lists(st.integers(-4, 4).map(lambda k: k / 4), min_size=d,
+                               max_size=d), min_size=1, max_size=6).map(
+        lambda v: np.asarray(v, dtype=float))
+    return st.lists(st.one_of(grid, samples, ints, signed), min_size=1, max_size=3).map(np.vstack)
+
+
+def cell_labels(count: int):
+    """None (the real direction cells) or a random partition of ``count``
+    utility rows, as labels for ``core._direction_cells`` to return."""
+    return st.one_of(st.none(), st.lists(st.integers(0, 4), min_size=count,
+                                         max_size=count).map(np.asarray))
+
+
+@contextmanager
+def kernel_layout(cells: int, labels):
+    """Patch the score-block budget and, unless labels is None, the
+    direction cells of the rank kernel."""
+    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+        if labels is None:
+            yield
+        else:
+            with mock.patch.object(core, "_direction_cells", lambda V, n: labels):
+                yield

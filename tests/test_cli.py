@@ -75,6 +75,9 @@ class TestSolve:
         # first prefix width ceil(40 / log2(41)) = 8; no threshold above 8 is tested
         assert max(k for k, _ in data["params"]["cover_calls"]) == 8
         assert data["params"]["order_width"] == 8
+        witness = data["params"]["witness"]
+        assert len(witness["vector"]) == 3
+        assert 0 <= witness["index"] < data["params"]["discretization_size"]
 
     def test_restrict_file(self, demo_csv, tmp_path):
         spath = tmp_path / "space.json"

@@ -9,7 +9,8 @@ import rankregret as rr
 from rankregret import core
 from rankregret.core import NORMALIZATION_TOL
 
-from conftest import block_budgets, grid_tables, random_dataset
+from conftest import (block_budgets, cell_labels, grid_tables, hd_tables, kernel_layout,
+                      random_dataset, utility_rows)
 
 
 class TestDataset:
@@ -315,3 +316,30 @@ def test_min_rank_kernel_matches_sort_reference_2d(data, cells):
             assert rr.exact_chain_rank(S, D, (x, x)) == w
         # np.linspace(0, 1, 9) is exactly the grid k / 8
         assert rr.dense_grid_chain_rank(S, D, (0.0, 1.0), points=9) == max(want)
+
+
+# Near ties: BLAS keys may order these tables unlike the canonical score
+# (any summation order, fused or not); the kernels must rank by the score.
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), cells=block_budgets)
+def test_min_ranks_match_canonical_brute_force(data, cells):
+    d = data.draw(st.integers(2, 5))
+    D = rr.Dataset(data.draw(hd_tables(d)), normalized=False)
+    V = data.draw(utility_rows(d))
+    S = data.draw(st.sets(st.integers(1, D.n), min_size=1, max_size=4))
+    with kernel_layout(cells, data.draw(cell_labels(len(V)))):
+        got = rr.min_ranks_for_vectors(D, V, S)
+    rows = np.asarray(sorted(S)) - 1
+    assert got.tolist() == core._min_rank_rows(core._canonical(V, D.values), rows).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_single_vector_ranks_follow_canonical_order(data):
+    d = data.draw(st.integers(2, 5))
+    D = rr.Dataset(data.draw(hd_tables(d)), normalized=False)
+    for u in data.draw(utility_rows(d))[:4]:
+        order = rr.top_k(u, D.n, D)
+        want = np.argsort(-core._canonical(u[None, :], D.values)[0], kind="stable") + 1
+        assert order == want.tolist()
+        assert [rr.rank(u, t, D) for t in order] == list(range(1, D.n + 1))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankregret as rr
 
-from conftest import random_dataset
+from conftest import block_budgets, cell_labels, hd_tables, kernel_layout, random_dataset
 
 
 class TestEstimateRankRegret:
@@ -95,3 +97,21 @@ class TestMaxRegretRatio:
         ratio_t3 = rr.max_regret_ratio([3], shifted, 100_000, seed=9)
         assert ratio_t7 < ratio_t3
         assert rr.exact_chain_rank([3], shifted) < rr.exact_chain_rank([7], shifted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cells=block_budgets)
+def test_max_regret_ratio_matches_full_scores(data, cells):
+    # the top-scoring tuple is always a candidate, so pruning leaves the
+    # ratio of a full scoring pass, up to the rounding of its keys
+    d = data.draw(st.integers(2, 5))
+    table = data.draw(hd_tables(d).filter(lambda t: t.max() > 0))
+    D = rr.Dataset(table, normalized=False)
+    S = data.draw(st.sets(st.integers(1, D.n), min_size=1, max_size=3))
+    samples, seed = data.draw(st.integers(1, 60)), data.draw(st.integers(0, 99))
+    with kernel_layout(cells, data.draw(cell_labels(samples))):
+        got = rr.max_regret_ratio(S, D, samples, seed)
+    sc = rr.sample_sphere(d, samples, seed) @ D.values.T
+    top = sc.max(axis=1)
+    want = ((top - sc[:, np.asarray(sorted(S)) - 1].max(axis=1)) / top).max()
+    assert abs(got - want) <= 1e-12

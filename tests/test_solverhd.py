@@ -12,7 +12,8 @@ from rankregret import core, solverhd
 from rankregret.datagen import GenSpec, generate
 from rankregret.solverhd import HdParams, NetBoundParams, _descending_order, net_bound_value
 
-from conftest import block_budgets, grid_tables, random_dataset, traced_peak
+from conftest import (block_budgets, grid_tables, hd_tables, random_dataset, traced_peak,
+                      utility_rows)
 
 
 class TestPolarGrid:
@@ -125,6 +126,20 @@ def test_order_prefix_matches_stable_argsort(data, cells):
     want = np.argsort(-(V @ D.values.T), axis=1, kind="stable")
     with mock.patch.object(core, "_BLOCK_CELLS", cells):
         for K in range(1, D.n + 1):
+            assert np.array_equal(_descending_order(D, V, K), want[:, :K])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), cells=block_budgets)
+def test_order_prefix_matches_stable_canonical_order(data, cells):
+    # float vectors on near-tied tables: the prefix must follow the
+    # canonical score wherever BLAS keys would order tuples otherwise
+    d = data.draw(st.integers(2, 5))
+    D = rr.Dataset(data.draw(hd_tables(d)), normalized=False)
+    V = data.draw(utility_rows(d))
+    want = np.argsort(-core._canonical(V, D.values), axis=1, kind="stable")
+    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+        for K in sorted({1, data.draw(st.integers(1, D.n)), D.n}):
             assert np.array_equal(_descending_order(D, V, K), want[:, :K])
 
 
@@ -300,6 +315,22 @@ class TestSolveRrmHd:
         # restricting the space never worsens the unrestricted threshold
         unres = rr.solve_rrm_hd(D, HdParams(r=5, gamma=3, m=100, seed=31))
         assert res.rank_regret <= unres.rank_regret
+
+    @pytest.mark.parametrize("family,space", [
+        ("independent", None), ("anti-correlated", None),
+        ("correlated", rr.RestrictedSpace.weak_ranking(4, 1))])
+    def test_witness_reproduces_discrete_rank_regret(self, family, space):
+        # the solve verifies with the batched kernel and the witness is
+        # re-ranked one vector at a time: both rank by the canonical score
+        D = generate(GenSpec(family, 300, 4, seed=11))
+        params = HdParams(r=5, gamma=3, m=400, seed=11)
+        disc = rr.build_discretization(4, 3, 400, seed=11, space=space)
+        for res in (rr.solve_rrm_hd(D, params, space), rr.solve_rrr_hd(D, 20, params, space)):
+            value = res.solver_params["discrete_rank_regret"]
+            w = res.solver_params["witness"]
+            assert disc.vectors[w["index"]].tolist() == w["vector"]
+            assert rr.rank_regret_of_set(w["vector"], res.selected_indices, D) == value
+            assert rr.discrete_rank_regret(res.selected_indices, D, disc) == value
 
     def test_memory_and_scale(self):
         # the default m here is about 14 400 vectors; a full order matrix
