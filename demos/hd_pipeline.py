@@ -45,3 +45,8 @@ rep = rr.estimate_rank_regret(res.selected_indices, D, 100_000, seed=999,
                               ks=[res.rank_regret])
 print(f"fresh evaluation: estimated worst rank {rep.estimated_rank_regret}, "
       f"fraction within k' = {rep.rat_k[res.rank_regret]:.4f}")
+
+# a threshold instead of a budget: the greedy cover at k = 5, then smaller budgets
+rrr = rr.solve_rrr_hd(D, 5, params)
+print(f"representative for k = 5: size {rrr.size}, threshold {rrr.rank_regret}, "
+      f"covers {rrr.solver_params['cover_calls']}")

@@ -204,8 +204,6 @@ def cmd_solve(args) -> int:
     payload = result.to_json_dict()
     payload["params"]["config"] = config
     if args.linear_scan and args.algo == "hd":
-        params = solverhd.HdParams(r=args.r, gamma=args.gamma,
-                                   delta_fail=args.delta, m=args.m, seed=seed)
         scan = solverhd.linear_scan_cover_sizes(D, params, space)
         agree = scan["smallest_fit_k"] == result.rank_regret
         payload["linear_scan"] = {
@@ -234,7 +232,7 @@ def cmd_rrr(args) -> int:
             raise ValueError(f"--algo 2d requires a 2-attribute dataset, got d={D.d}")
         result = solver2d.solve_rrr_2d(D, args.k, space)
     else:
-        params = solverhd.HdParams(r=max(D.d, 1), gamma=args.gamma,
+        params = solverhd.HdParams(r=D.d, gamma=args.gamma,
                                    delta_fail=args.delta, m=args.m, seed=seed)
         result = solverhd.solve_rrr_hd(D, args.k, params, space)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0

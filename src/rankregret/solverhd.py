@@ -5,9 +5,10 @@ by a finite set: a polar-coordinate grid (every direction has a grid
 vector within a provable distance) united with Monte-Carlo samples
 (coverage of the finite set transfers to the sphere with high
 probability).  Selecting tuples so that every finite vector sees a
-top-k member is a set-cover instance solved greedily; an outer
-doubling-plus-binary search finds the smallest threshold k whose cover
-fits the size budget.
+top-k member is a set-cover instance solved greedily.  For a size budget
+r, a doubling-plus-binary search finds the smallest threshold k whose
+cover fits r.  For a threshold k, the greedy cover at k bounds the size,
+and the same search, capped at k, then tries each smaller budget in turn.
 """
 
 from __future__ import annotations
@@ -381,8 +382,9 @@ def discrete_rank_regret(S, D: Dataset, disc: Discretization) -> int:
 
 class _HdInstance:
     """One HD problem prepared for many cover calls: the dataset, its
-    basis, the discretization with its sample size m, and an exact
-    descending order prefix of every discretization vector.
+    basis, the discretization with its sample size m, an exact descending
+    order prefix of every discretization vector, and the greedy cover at
+    every threshold asked for so far.
 
     The prefix is built on first use ``max(k, ceil(n / log2(n + 1)))``
     wide: its partition pass costs O(N n) whatever the width K, its sort
@@ -404,6 +406,7 @@ class _HdInstance:
         self.disc = build_discretization(d, params.gamma, self.m, params.seed, space,
                                          direction_sampler)
         self.order: np.ndarray | None = None
+        self.covers: dict[int, tuple[int, ...]] = {}
 
     @property
     def order_width(self) -> int:
@@ -420,44 +423,37 @@ class _HdInstance:
                                            min(max(k, floor), n))
         return self.order
 
+    def cover(self, k: int) -> tuple[int, ...]:
+        """The greedy cover at threshold k, built on the first call for k."""
+        if k not in self.covers:
+            self.covers[k] = greedy_min_superset(self.D, k, self.basis, self.disc,
+                                                 self.order_for(k))
+        return self.covers[k]
 
-def _search(inst: _HdInstance, r: int) -> tuple[int, tuple[int, ...], list]:
-    """Smallest threshold whose greedy cover on the instance fits budget
-    r, as (threshold, cover, the (k, size) of every cover built)."""
-    D, disc, B = inst.D, inst.disc, inst.basis
-    n = D.n
-    calls: list[tuple[int, int]] = []
 
-    def run(k: int) -> tuple[int, ...]:
-        order = inst.order_for(k)
-        Q = greedy_min_superset(D, k, B, disc, order)
-        calls.append((k, len(Q)))
-        return Q
+def _search(inst: _HdInstance, r: int, cap: int) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest threshold up to cap whose greedy cover on the instance fits
+    budget r, as (threshold, cover); None when the cover at cap does not fit.
 
-    k = 1
-    prev_fail = 0
-    while True:
-        Q = run(k)
-        if len(Q) <= r:
-            break
-        prev_fail = k
-        if k >= n:
-            raise AssertionError("threshold n must always fit: basis covers everything")
-        k = min(2 * k, n)
-    best_k, best_Q = k, Q
+    Doubles the threshold from 1 until a cover fits, then binary-searches
+    the range above the last threshold that did not.
+    """
+    k, prev_fail = 1, 0
+    while len(inst.cover(k)) > r:
+        if k >= cap:
+            return None
+        prev_fail, k = k, min(2 * k, cap)
     lo, hi = prev_fail + 1, k
     while lo < hi:
         mid = (lo + hi) // 2
-        Q = run(mid)
-        if len(Q) <= r:
+        if len(inst.cover(mid)) <= r:
             hi = mid
-            best_k, best_Q = mid, Q
         else:
             lo = mid + 1
-    return best_k, best_Q, calls
+    return hi, inst.cover(hi)
 
 
-def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...], calls: list) -> RegretResult:
+def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...]) -> RegretResult:
     """The search's cover for budget r, with its cover check re-verified."""
     D, disc = inst.D, inst.disc
     verified = discrete_rank_regret(Q, D, disc)
@@ -485,7 +481,7 @@ def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...], calls: list) 
         "discretization_size": disc.size,
         "discrete_rank_regret": verified,
         "witness": {"index": witness, "vector": disc.vectors[witness].tolist()},
-        "cover_calls": calls,
+        "cover_calls": [(c, len(C)) for c, C in inst.covers.items()],
         "order_width": inst.order_width,
         "basis": list(inst.basis),
         "halfspaces": [list(h) for h in (space.halfspaces if space else ())],
@@ -501,77 +497,63 @@ def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = N
     binary-searches the preceding range for the smallest threshold that
     still fits.  The reported rank_regret is that threshold; the direct
     cover check on the returned set is re-verified before returning.
-    ``solver_params["order_width"]`` is the width of the order prefix the
-    solve ended with.  ``solver_params["witness"]`` holds the row index
-    and the vector of the first discretization vector at which the set's
-    rank is ``discrete_rank_regret``, so ``rank_regret_of_set(vector, S,
-    D)`` re-checks that number.
+    ``solver_params["cover_calls"]`` lists the (k, size) of every cover
+    built, in order, and ``solver_params["order_width"]`` the width of the
+    order prefix the solve ended with.  ``solver_params["witness"]`` holds
+    the row index and the vector of the first discretization vector at
+    which the set's rank is ``discrete_rank_regret``, so
+    ``rank_regret_of_set(vector, S, D)`` re-checks that number.
     """
     inst = _HdInstance(D, params, space, direction_sampler)
-    return _result(inst, params.r, *_search(inst, params.r))
+    found = _search(inst, params.r, D.n)
+    if found is None:
+        raise AssertionError("threshold n must always fit: basis covers everything")
+    return _result(inst, params.r, *found)
 
 
 def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
                  space: RestrictedSpace | None = None,
                  direction_sampler=None) -> RegretResult:
-    """Smallest budget whose solver output reaches worst-case threshold k.
+    """A small set whose greedy cover reaches worst-case threshold k.
 
-    Doubles the budget r starting from the basis size, then binary-searches;
-    every attempt runs on one prepared instance, so the discretization and
-    the order prefix are built once and shared.  A budget of just the basis
-    is decided by the basis's discrete rank-regret: its cover fits exactly
-    the thresholds from that value on, so when that value exceeds k the
-    attempt fails without a threshold search, whose depth would otherwise
-    widen the shared prefix far beyond what the later attempts need.
+    The greedy cover at k gives the first budget, its size.  The threshold
+    search of ``solve_rrm_hd``, capped at k, runs at that budget and then
+    at one below the size of each set it finds, until a budget finds no
+    cover or falls below the basis size: greedy sizes are not monotone in
+    k, so a threshold below k can give a smaller cover.  No threshold above
+    k is visited, so the order prefix is built once,
+    ``min(n, max(k, ceil(n / log2(n + 1))))`` wide, and each cover once.
+    Only the returned set is verified.  ``solver_params["r"]`` is its size
+    and ``solver_params["cover_calls"]`` lists every cover the query built.
     """
     if not 1 <= k <= D.n:
         raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
     inst = _HdInstance(D, params, space, direction_sampler)
-    n = D.n
-
-    r = max(len(inst.basis), D.d)
-    prev_fail = r - 1
-    while True:
-        if r > len(inst.basis) or discrete_rank_regret(inst.basis, D, inst.disc) <= k:
-            found = _search(inst, r)
-            if found[0] <= k:
-                break
-        prev_fail = r
-        if r >= n:
-            raise AssertionError("budget n must reach threshold 1")
-        r = min(2 * r, n)
-    best = r, found
-    lo, hi = prev_fail + 1, r
-    while lo < hi:
-        mid = (lo + hi) // 2
-        found = _search(inst, mid)
-        if found[0] <= k:
-            hi = mid
-            best = mid, found
-        else:
-            lo = mid + 1
-    # only the returned cover is verified; the discarded attempts are not
-    res = _result(inst, best[0], *best[1])
-    params_out = dict(res.solver_params)
-    params_out.update({"algo": "hd-rrr", "k": k, "order_width": inst.order_width})
-    return RegretResult(res.selected_indices, res.size, res.rank_regret, params_out)
+    r, best = len(inst.cover(k)), None
+    while r >= len(inst.basis):
+        found = _search(inst, r, k)
+        if found is None:
+            break
+        best, r = found, len(found[1]) - 1
+    res = _result(inst, len(best[1]), *best)
+    res.solver_params.update(algo="hd-rrr", k=k)
+    return res
 
 
 def linear_scan_cover_sizes(D: Dataset, params: HdParams,
                             space: RestrictedSpace | None = None,
                             ks=None, direction_sampler=None) -> dict:
-    """Verification mode: greedy cover size for every threshold k.
+    """Verification mode: greedy cover size for every threshold k in ks
+    (default 1..n), built on one instance as the solvers build them.
 
     Greedy set cover gives no monotonicity guarantee in k, so the
-    doubling-plus-binary search is checked against this scan; any
-    non-monotone pair is reported, never raised.
+    doubling-plus-binary searches of ``solve_rrm_hd`` and ``solve_rrr_hd``
+    can be replayed and checked on this table; any non-monotone pair is
+    reported, never raised.
     """
     inst = _HdInstance(D, params, space, direction_sampler)
     ks = list(range(1, D.n + 1)) if ks is None else sorted(set(int(k) for k in ks))
-    sizes = []
-    for k in ks:
-        order = inst.order_for(k)
-        sizes.append((k, len(greedy_min_superset(D, k, inst.basis, inst.disc, order))))
+    sizes = [(k, len(inst.cover(k))) for k in ks]
     smallest_fit = next((k for k, s in sizes if s <= params.r), None)
     non_monotone = [
         (sizes[i][0], sizes[i + 1][0])

@@ -131,8 +131,8 @@ class TestRrr:
         assert code == 0
         data = json.loads(out)
         assert data["rank_regret"] <= 6
-        # the basis-only budget reaches only k = 16, but it is decided by the
-        # basis's rank-regret without a search, so the first width 8 suffices
+        # no threshold above k = 6 is visited, so the prefix keeps its first
+        # width, max(6, ceil(40 / log2(41))) = 8
         assert data["params"]["order_width"] == 8
 
 

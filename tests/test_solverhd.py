@@ -358,33 +358,71 @@ class TestSolveRrrHd:
             worse = rr.solve_rrm_hd(D, HdParams(r=smaller_r, gamma=3, m=60, seed=44))
             assert worse.rank_regret > 4
 
-    def test_matches_one_solve_per_budget(self):
-        # reference: the same doubling-plus-binary budget search, running a
-        # full solve for every budget, the basis-only one included
-        D = generate(GenSpec("anti-correlated", 200, 3, seed=7))
+    @pytest.mark.parametrize("space", [None, rr.RestrictedSpace.weak_ranking(3, 1)])
+    @pytest.mark.parametrize("family", ["independent", "anti-correlated", "correlated",
+                                        "integer-grid"])
+    def test_matches_downward_budgets_on_the_size_table(self, family, space):
+        # reference: the greedy cover size at every threshold up to k, and on
+        # that table the budgets from the size at k downward, each searched by
+        # doubling plus binary search over thresholds capped at k
+        if family == "integer-grid":
+            D = rr.Dataset(np.random.default_rng(7).integers(0, 6, (200, 3)) / 5)
+        else:
+            D = generate(GenSpec(family, 200, 3, seed=7))
         base = HdParams(r=3, gamma=4, m=300, seed=7)
 
-        def fits(r):
-            return rr.solve_rrm_hd(D, dataclasses.replace(base, r=r)).rank_regret <= k
+        def capped_search(size, r, cap):
+            t, prev_fail = 1, 0
+            while size[t] > r:
+                if t >= cap:
+                    return None
+                prev_fail, t = t, min(2 * t, cap)
+            lo, hi = prev_fail + 1, t
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if size[mid] <= r else (mid + 1, hi)
+            return hi
 
-        for k in (2, 10, 40, 200):
+        def fits(r):
+            return rr.solve_rrm_hd(D, dataclasses.replace(base, r=r), space).rank_regret <= k
+
+        for k in (1, 2, 5, 13, 34):
+            scan = rr.linear_scan_cover_sizes(D, base, space, ks=range(1, k + 1))
+            size = dict(scan["sizes"])
+            r, want = size[k], None
+            while r >= len(D.basis_indices):
+                t = capped_search(size, r, k)
+                if t is None:
+                    break
+                want, r = (size[t], t), size[t] - 1
+            got = rr.solve_rrr_hd(D, k, base, space)
+            assert (got.size, got.rank_regret) == want
+            assert all(c <= k for c, _ in got.solver_params["cover_calls"])
+            # upper bound: a doubling-plus-binary search over budgets from
+            # max(|basis|, d), one full solve per budget
             r = max(len(D.basis_indices), D.d)
             prev_fail = r - 1
             while not fits(r):
-                prev_fail, r = r, 2 * r
+                prev_fail, r = r, min(2 * r, D.n)
             lo, hi = prev_fail + 1, r
             while lo < hi:
                 mid = (lo + hi) // 2
                 lo, hi = (lo, mid) if fits(mid) else (mid + 1, hi)
-            want = rr.solve_rrm_hd(D, dataclasses.replace(base, r=hi))
-            got = rr.solve_rrr_hd(D, k, base)
-            assert (got.selected_indices, got.rank_regret) == \
-                (want.selected_indices, want.rank_regret)
+            assert got.size <= rr.solve_rrm_hd(D, dataclasses.replace(base, r=hi), space).size
+
+    def test_returns_the_basis_when_it_reaches_k(self):
+        # one tuple here is the boundary tuple of two attributes, so the
+        # basis has fewer than d tuples, and alone it reaches k = 5
+        D = generate(GenSpec("correlated", 150, 3, seed=2))
+        disc = rr.build_discretization(3, 3, 300, seed=2)
+        assert D.basis_indices == (17, 53)
+        assert rr.discrete_rank_regret(D.basis_indices, D, disc) == 5
+        res = rr.solve_rrr_hd(D, 5, HdParams(r=3, gamma=3, m=300, seed=2))
+        assert (res.selected_indices, res.rank_regret) == ((17, 53), 5)
 
     def test_verifies_only_the_returned_set(self, monkeypatch):
-        # the discarded budget attempts are not re-verified: besides the
-        # check that decides the basis-only budget, discrete_rank_regret
-        # runs once, on the returned set
+        # the discarded covers are not verified: discrete_rank_regret runs
+        # once, on the returned set
         D = generate(GenSpec("anti-correlated", 200, 3, seed=7))
         base = HdParams(r=3, gamma=4, m=300, seed=7)
         real = solverhd.discrete_rank_regret
@@ -396,19 +434,29 @@ class TestSolveRrrHd:
 
         monkeypatch.setattr(solverhd, "discrete_rank_regret", counting)
         res = rr.solve_rrr_hd(D, 10, base)
-        assert sets[-1] == res.selected_indices
-        assert set(sets[:-1]) <= {tuple(D.basis_indices)}
+        assert sets == [res.selected_indices]
         assert res.solver_params["discrete_rank_regret"] <= 10
 
-    def test_basis_only_budget_does_not_widen_the_prefix(self):
-        # the basis alone reaches only a deep threshold here; deciding that
-        # budget by its rank-regret keeps the prefix at the later attempts' depth
+    def test_prefix_is_built_once_at_its_first_width(self, monkeypatch):
+        # the basis alone reaches only a deep threshold here; no threshold
+        # above k is visited, so the prefix keeps the width of its first build
         D = generate(GenSpec("anti-correlated", 1000, 3, seed=501))
         params = HdParams(r=3, gamma=4, m=2000, seed=501)
         disc = rr.build_discretization(3, 4, 2000, seed=501)
         deep = rr.discrete_rank_regret(D.basis_indices, D, disc)
-        res = rr.solve_rrr_hd(D, 10, params)
-        assert res.solver_params["order_width"] < deep
+        real = solverhd._descending_order
+        widths = []
+
+        def counting(D, vectors, K):
+            widths.append(K)
+            return real(D, vectors, K)
+
+        monkeypatch.setattr(solverhd, "_descending_order", counting)
+        k, n = 10, D.n
+        res = rr.solve_rrr_hd(D, k, params)
+        first = min(n, max(k, math.ceil(n / math.log2(n + 1))))
+        assert widths == [first]
+        assert res.solver_params["order_width"] == first < deep
 
 
 class TestHdParams:
