@@ -523,6 +523,10 @@ def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
     k, so a threshold below k can give a smaller cover.  No threshold above
     k is visited, so the order prefix is built once,
     ``min(n, max(k, ceil(n / log2(n + 1))))`` wide, and each cover once.
+    The cap has a cost: when the cover at k does not fit a budget, a fitting
+    threshold between the last doubling step and k is not searched, so this
+    set is only measured, not proven, to be no larger than the one an
+    uncapped budget search would give.
     Only the returned set is verified.  ``solver_params["r"]`` is its size
     and ``solver_params["cover_calls"]`` lists every cover the query built.
     """

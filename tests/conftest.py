@@ -1,19 +1,12 @@
-import os
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import settings
 from hypothesis import strategies as st
 
 from rankregret import Dataset, core, polar_grid, sample_sphere
-
-# HYPOTHESIS_PROFILE=ci prints the @reproduce_failure blob of a failing
-# property, so a failure seen only in CI can be replayed locally.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Worked 7-tuple example used throughout: two attributes, skyline
 # {1,2,3,4,7}, boundary tuples t1 (A2=1) and t7 (A1=1).

@@ -398,8 +398,10 @@ class TestSolveRrrHd:
             got = rr.solve_rrr_hd(D, k, base, space)
             assert (got.size, got.rank_regret) == want
             assert all(c <= k for c, _ in got.solver_params["cover_calls"])
-            # upper bound: a doubling-plus-binary search over budgets from
-            # max(|basis|, d), one full solve per budget
+            # upper bound on this data: a doubling-plus-binary search over
+            # budgets from max(|basis|, d), one full solve per budget.  The
+            # capped search can miss a fitting threshold below k that this
+            # uncapped one finds, so the bound is measured, not a theorem
             r = max(len(D.basis_indices), D.d)
             prev_fail = r - 1
             while not fits(r):
