@@ -318,12 +318,13 @@ def scores(D: Dataset, u) -> np.ndarray:
 
 
 def score(u, record) -> float:
-    """Linear utility of one tuple record: the dot product of u and t."""
+    """Canonical score u . t of one tuple record, bit for bit the value
+    ``scores`` gives that tuple."""
     w = as_weight_array(u)
     t = np.asarray(record, dtype=float)
     if t.shape != w.shape:
         raise ValueError(f"record has shape {t.shape}, utility vector {w.shape}")
-    return float(w @ t)
+    return float(_canonical(w[None, :], t[None, :])[0, 0])
 
 
 def rank(u, t_index: int, D: Dataset) -> int:
@@ -464,7 +465,7 @@ def _direction_cells(V: np.ndarray, n: int) -> np.ndarray:
     tuples, at least 2**16 keys: its bounds then cost about 2d/64 of
     keying its rows, and the overhead stays small against the keys.  Any
     labelling is correct: cells only decide how many tuples the per-cell
-    bounds of ``_candidate_blocks`` can drop.
+    bounds of ``_cell_candidates`` can drop.
     """
     N, d = V.shape
     cells = N / max(64, 2 ** 16 / n)
@@ -484,50 +485,64 @@ def _set_best(D: Dataset, V: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
     return set_scores[np.arange(V.shape[0]), at], rows[at]
 
 
-def _candidate_blocks(D: Dataset, V: np.ndarray, best: np.ndarray, rows: np.ndarray):
-    """Yield ``(ids, cand, keys)``: utility rows ``ids`` of V, the sorted
-    0-based tuples ``cand`` that can reach those rows' set-best score
-    ``best``, and their BLAS keys ``V[ids] @ X[cand].T``.
+def _cell_candidates(V: np.ndarray, X: np.ndarray, floor, keep=None):
+    """Yield ``(ids, cand)`` for every direction cell (``_direction_cells``)
+    of the utility rows of V: the cell's rows ``ids`` and the sorted
+    0-based tuples ``cand`` of X that can score at or above its floor.
 
-    Rows are grouped into direction cells (``_direction_cells``).  Over a
-    cell, a tuple scores at most the product of its positive and negative
-    parts with the componentwise max and min of the cell's rows; a tuple
-    whose bound stays below the cell's lowest set-best by more than the
-    rounding of both sides scores below the set's best member at every
-    row of the cell, canonically and by key, and is dropped.  The rows of
-    the set are always kept.  Each yielded block holds at most
-    ``_BLOCK_CELLS`` keys (one row when the candidates alone exceed it).
+    Over a cell with componentwise max hi and min lo, a tuple t scores at
+    least lo . t+ - hi . t- and at most hi . t+ - lo . t- at every row.
+    ``floor(groups, lower)`` returns the floors of a block of cells, where
+    ``groups`` are their rows and ``lower()`` their tuples' lower bounds.
+    A tuple whose upper bound stays below the floor by more than the
+    rounding of both bounds and of the scores (4 gamma_{2d+4} times the
+    cell's reach) scores below it at every row of the cell, canonically
+    and by key, and is dropped.  The rows ``keep`` are always kept.  Bounds
+    are computed for blocks of at most ``_BLOCK_CELLS``.
     """
-    X = D.values
     n, d = X.shape
     if not V.shape[0]:
         return
     label = _direction_cells(V, n)
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[order], prepend=-1))
-    ends = np.append(starts[1:], order.size)
+    groups = np.split(order, starts[1:])
     hi = np.maximum.reduceat(V[order], starts)
     lo = np.minimum.reduceat(V[order], starts)
     reach = np.maximum(np.abs(hi), np.abs(lo)) @ np.abs(X).max(axis=0)
-    floor = (np.minimum.reduceat(best[order], starts)
-             - 4 * _gamma(2 * d + 4) * reach - 8 * d * np.finfo(float).smallest_subnormal)
-    corners = np.hstack([hi, -lo])
+    slack = 4 * _gamma(2 * d + 4) * reach + 8 * d * np.finfo(float).smallest_subnormal
+    upper, lower = np.hstack([hi, -lo]), np.hstack([lo, -hi])
     signed_T = np.vstack([np.maximum(X, 0.0).T, np.maximum(-X, 0.0).T])
+    for sl, bound in _score_blocks(lambda sl: upper[sl] @ signed_T, len(groups), n):
+        ok = bound >= (floor(groups[sl], lambda: lower[sl] @ signed_T) - slack[sl])[:, None]
+        if keep is not None:
+            ok[:, keep] = True
+        for ids, row in zip(groups[sl], ok):
+            yield ids, np.flatnonzero(row)
 
-    def bounds(sl):
-        return corners[sl] @ signed_T
 
-    for sl, bound in _score_blocks(bounds, starts.size, n):
-        keep = bound >= floor[sl, None]
-        keep[:, rows] = True
-        for c, row in enumerate(keep, start=sl.start):
-            cand = np.flatnonzero(row)
-            ids = order[starts[c]:ends[c]]
-            XcT = X[cand].T
-            step = max(1, _BLOCK_CELLS // cand.size)
-            for at in range(0, ids.size, step):
-                sub = ids[at:at + step]
-                yield sub, cand, V[sub] @ XcT
+def _candidate_blocks(D: Dataset, V: np.ndarray, best: np.ndarray, rows: np.ndarray):
+    """Yield ``(ids, cand, keys)``: utility rows ``ids`` of V, the sorted
+    0-based tuples ``cand`` that can reach those rows' set-best score
+    ``best``, and their BLAS keys ``V[ids] @ X[cand].T``.
+
+    The candidates are those of ``_cell_candidates`` with each cell's
+    floor at its lowest set-best, so a dropped tuple scores below the
+    set's best member at every row of its cell; the rows of the set are
+    always kept.  Each yielded block holds at most ``_BLOCK_CELLS`` keys
+    (one row when the candidates alone exceed it).
+    """
+    X = D.values
+
+    def lowest_best(groups, lower):
+        return np.array([best[ids].min() for ids in groups])
+
+    for ids, cand in _cell_candidates(V, X, lowest_best, rows):
+        XcT = X[cand].T
+        step = max(1, _BLOCK_CELLS // cand.size)
+        for at in range(0, ids.size, step):
+            sub = ids[at:at + step]
+            yield sub, cand, V[sub] @ XcT
 
 
 def min_ranks_for_vectors(D: Dataset, vectors: np.ndarray, S: Iterable[int]) -> np.ndarray:
@@ -537,7 +552,8 @@ def min_ranks_for_vectors(D: Dataset, vectors: np.ndarray, S: Iterable[int]) -> 
     above the set's best canonical score outrank it; only keys within
     that slack of it are re-scored canonically and ranked under the index
     tie rule.  Tuples that cannot reach the set's best score anywhere in
-    a direction cell are never keyed (``_candidate_blocks``).  Peak
+    a direction cell are never keyed (``_candidate_blocks`` over the cell
+    bounds of ``_cell_candidates``, which the HD order prefix shares).  Peak
     working memory is O(``_BLOCK_CELLS``) keys plus the set's N x |S|
     canonical scores and the output.
     """

@@ -5,10 +5,13 @@ by a finite set: a polar-coordinate grid (every direction has a grid
 vector within a provable distance) united with Monte-Carlo samples
 (coverage of the finite set transfers to the sphere with high
 probability).  Selecting tuples so that every finite vector sees a
-top-k member is a set-cover instance solved greedily.  For a size budget
-r, a doubling-plus-binary search finds the smallest threshold k whose
-cover fits r.  For a threshold k, the greedy cover at k bounds the size,
-and the same search, capped at k, then tries each smaller budget in turn.
+top-k member is a set-cover instance solved greedily; every top-k comes
+from one exact descending order prefix, built per direction cell over the
+tuples that can reach the cell's top K (threshold-algorithm bounds).  For
+a size budget r, a doubling-plus-binary search finds the smallest
+threshold k whose cover fits r.  For a threshold k, the greedy cover at k
+bounds the size, and the same search, capped at k, then tries each
+smaller budget in turn.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Dataset, RegretResult, RestrictedSpace, _canonical, _canonical_at,
-                   _key_slack, _score_blocks, min_ranks_for_vectors)
+                   _cell_candidates, _key_slack, _score_blocks, min_ranks_for_vectors)
 from .skyline import basis
 
 SAMPLE_CAP = 1_000_000
@@ -258,13 +261,18 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int) -> np.ndarray:
     ``np.argsort(-core._canonical(vectors, D.values), axis=1,
     kind="stable")[:, :K]``.
 
-    Each block of BLAS keys is partitioned to its top K and only that
-    prefix is sorted.  Keys farther apart than twice ``core._key_slack``
-    order as their canonical scores do.  A row with two adjacent prefix
-    keys closer than that is re-sorted stably on canonical scores from
-    index order; a row with a key outside the prefix that close to its
-    K-th key, where the partition may have chosen the wrong tuples, is
-    sorted stably in full on canonical scores.  Peak working memory is
+    Per direction cell only the tuples of ``core._cell_candidates`` whose
+    upper bound reaches the cell's K-th largest lower bound are keyed:
+    K tuples score at least that bound at every row of the cell, so no
+    other tuple is in any row's top K.  Each block of keys is partitioned
+    to its top K and only that prefix is sorted.  Keys farther apart than
+    twice ``core._key_slack`` order as their canonical scores do.  A row
+    with two adjacent prefix keys closer than that is re-sorted stably on
+    canonical scores from index order; a row with a key outside the prefix
+    that close to its K-th key, where the partition may have chosen the
+    wrong tuples, is sorted stably in full on canonical scores.  The
+    candidates are sorted, so positions among them map back to tuples
+    with the index tie rule intact.  Peak working memory is
     O(``_BLOCK_CELLS``) cells whatever K is, plus the N x K output.
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -273,34 +281,44 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int) -> np.ndarray:
     X = D.values
     near = 2 * _key_slack(V, X)
 
-    def negated_keys(sl):
-        block = V[sl] @ X.T
-        return np.negative(block, out=block)
+    def kth_lower(groups, lower):
+        low = lower()
+        low.partition(D.n - K, axis=1)
+        return low[:, D.n - K]
 
     out = np.empty((V.shape[0], K), dtype=np.int32)
-    # A block row holds its n keys and either their partition (16n bytes)
-    # or about six K-wide arrays (48K bytes).  Sizing blocks on n + 3K cells
-    # keeps a block's peak near 16 * _BLOCK_CELLS bytes for every K, so the
-    # memory of a solve does not depend on how deep its thresholds go.
-    for sl, neg in _score_blocks(negated_keys, V.shape[0], D.n + 3 * K):
-        # int32 indices keep the working set small when K is close to n
-        top = np.argpartition(neg, K - 1, axis=1)[:, :K].astype(np.int32)
-        top_neg = _take_rows(neg, top)
-        pos = np.argsort(top_neg, axis=1)
-        rows = _take_rows(top, pos)
-        sorted_neg = _take_rows(top_neg, pos)
-        gap = near[sl, None]
-        close = np.flatnonzero((np.diff(sorted_neg, axis=1) <= gap).any(axis=1))
-        if close.size:
-            by_index = np.sort(top[close], axis=1)
-            ids = np.arange(sl.start, sl.stop)[close]
-            score = _canonical_at(V, X, ids[:, None], by_index)
-            rows[close] = _take_rows(by_index, np.argsort(-score, axis=1, kind="stable"))
-        spill = np.flatnonzero(np.count_nonzero(neg <= sorted_neg[:, K - 1:] + gap, axis=1) > K)
-        if spill.size:
-            score = _canonical(V[sl][spill], X)
-            rows[spill] = np.argsort(-score, axis=1, kind="stable")[:, :K]
-        out[sl] = rows
+    for ids, cand in _cell_candidates(V, X, kth_lower):
+        Xc = X[cand]
+
+        def negated_keys(sl):
+            block = V[ids[sl]] @ Xc.T
+            return np.negative(block, out=block)
+
+        # A block row holds its keys and either their partition (16 bytes
+        # per key) or about six K-wide arrays (48K bytes).  Sizing blocks on
+        # cand + 3K cells keeps a block's peak near 16 * _BLOCK_CELLS bytes
+        # for every K, so the memory of a solve does not depend on how deep
+        # its thresholds go.
+        for sl, neg in _score_blocks(negated_keys, ids.size, cand.size + 3 * K):
+            at = ids[sl]
+            # int32 indices keep the working set small when K is close to n
+            top = np.argpartition(neg, K - 1, axis=1)[:, :K].astype(np.int32)
+            top_neg = _take_rows(neg, top)
+            pos = np.argsort(top_neg, axis=1)
+            rows = _take_rows(top, pos)
+            sorted_neg = _take_rows(top_neg, pos)
+            gap = near[at, None]
+            close = np.flatnonzero((np.diff(sorted_neg, axis=1) <= gap).any(axis=1))
+            if close.size:
+                by_index = np.sort(top[close], axis=1)
+                score = _canonical_at(V, Xc, at[close, None], by_index)
+                rows[close] = _take_rows(by_index, np.argsort(-score, axis=1, kind="stable"))
+            spill = np.flatnonzero(np.count_nonzero(neg <= sorted_neg[:, K - 1:] + gap,
+                                                    axis=1) > K)
+            if spill.size:
+                score = _canonical(V[at[spill]], Xc)
+                rows[spill] = np.argsort(-score, axis=1, kind="stable")[:, :K]
+            out[at] = cand[rows]
     return out
 
 
@@ -386,10 +404,11 @@ class _HdInstance:
     order prefix of every discretization vector, and the greedy cover at
     every threshold asked for so far.
 
-    The prefix is built on first use ``max(k, ceil(n / log2(n + 1)))``
-    wide: its partition pass costs O(N n) whatever the width K, its sort
-    O(N K log K), and the two meet near n / log n.  A later threshold
-    beyond the width rebuilds it at least twice as wide.
+    The prefix is built on first use
+    ``min(n, max(k, min(64, ceil(n / log2(n + 1)))))`` wide: its cost
+    follows the tuples that survive the per-cell bounds at that width, so
+    it starts near the thresholds a solve reaches, not near n / log n.  A
+    later threshold beyond the width rebuilds it at least twice as wide.
     """
 
     def __init__(self, D: Dataset, params: HdParams, space, direction_sampler):
@@ -417,7 +436,7 @@ class _HdInstance:
         width = self.order_width
         if k > width:
             n = self.D.n
-            floor = 2 * width if width else math.ceil(n / math.log2(n + 1))
+            floor = 2 * width if width else min(64, math.ceil(n / math.log2(n + 1)))
             self.order = None  # free the narrower prefix before building the wider one
             self.order = _descending_order(self.D, self.disc.vectors,
                                            min(max(k, floor), n))
@@ -522,7 +541,8 @@ def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
     cover or falls below the basis size: greedy sizes are not monotone in
     k, so a threshold below k can give a smaller cover.  No threshold above
     k is visited, so the order prefix is built once,
-    ``min(n, max(k, ceil(n / log2(n + 1))))`` wide, and each cover once.
+    ``min(n, max(k, min(64, ceil(n / log2(n + 1)))))`` wide, and each
+    cover once.
     The cap has a cost: when the cover at k does not fit a budget, a fitting
     threshold between the last doubling step and k is not searched, so this
     set is only measured, not proven, to be no larger than the one an

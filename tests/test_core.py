@@ -343,3 +343,14 @@ def test_single_vector_ranks_follow_canonical_order(data):
         want = np.argsort(-core._canonical(u[None, :], D.values)[0], kind="stable") + 1
         assert order == want.tolist()
         assert [rr.rank(u, t, D) for t in order] == list(range(1, D.n + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_score_of_one_record_is_its_canonical_score(data):
+    d = data.draw(st.integers(2, 8))
+    D = rr.Dataset(data.draw(hd_tables(d)), normalized=False)
+    V = data.draw(utility_rows(d))
+    for u in V[data.draw(st.lists(st.integers(0, len(V) - 1), min_size=1, max_size=4))]:
+        got = np.array([rr.score(u, D.record(i)) for i in range(1, D.n + 1)])
+        assert np.array_equal(got.view(np.int64), rr.scores(D, u).view(np.int64))

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ from rankregret import core, solverhd
 from rankregret.datagen import GenSpec, generate
 from rankregret.solverhd import HdParams, NetBoundParams, _descending_order, net_bound_value
 
-from conftest import (block_budgets, grid_tables, hd_tables, random_dataset, traced_peak,
-                      utility_rows)
+from conftest import (block_budgets, cell_labels, grid_tables, hd_tables, kernel_layout,
+                      random_dataset, traced_peak, utility_rows)
 
 
 class TestPolarGrid:
@@ -117,14 +116,14 @@ class TestDiscretization:
 @given(data=st.data(), cells=block_budgets)
 def test_order_prefix_matches_stable_argsort(data, cells):
     # integer tables and vectors keep every score exact, so ties fall
-    # inside the prefix and across its K-th position
+    # inside the prefix and across its K-th position, in any cell layout
     d = data.draw(st.integers(2, 4))
     D = rr.Dataset(np.asarray(data.draw(grid_tables(d)), float), normalized=False)
     V = np.asarray(data.draw(st.lists(
-        st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(any),
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any),
         min_size=1, max_size=8)), float)
     want = np.argsort(-(V @ D.values.T), axis=1, kind="stable")
-    with mock.patch.object(core, "_BLOCK_CELLS", cells):
+    with kernel_layout(cells, data.draw(cell_labels(len(V)))):
         for K in range(1, D.n + 1):
             assert np.array_equal(_descending_order(D, V, K), want[:, :K])
 
@@ -138,8 +137,8 @@ def test_order_prefix_matches_stable_canonical_order(data, cells):
     D = rr.Dataset(data.draw(hd_tables(d)), normalized=False)
     V = data.draw(utility_rows(d))
     want = np.argsort(-core._canonical(V, D.values), axis=1, kind="stable")
-    with mock.patch.object(core, "_BLOCK_CELLS", cells):
-        for K in sorted({1, data.draw(st.integers(1, D.n)), D.n}):
+    with kernel_layout(cells, data.draw(cell_labels(len(V)))):
+        for K in range(1, D.n + 1):
             assert np.array_equal(_descending_order(D, V, K), want[:, :K])
 
 
@@ -441,7 +440,8 @@ class TestSolveRrrHd:
 
     def test_prefix_is_built_once_at_its_first_width(self, monkeypatch):
         # the basis alone reaches only a deep threshold here; no threshold
-        # above k is visited, so the prefix keeps the width of its first build
+        # above k is visited, so the prefix keeps the width of its first
+        # build, 64 at n=1000
         D = generate(GenSpec("anti-correlated", 1000, 3, seed=501))
         params = HdParams(r=3, gamma=4, m=2000, seed=501)
         disc = rr.build_discretization(3, 4, 2000, seed=501)
@@ -456,8 +456,8 @@ class TestSolveRrrHd:
         monkeypatch.setattr(solverhd, "_descending_order", counting)
         k, n = 10, D.n
         res = rr.solve_rrr_hd(D, k, params)
-        first = min(n, max(k, math.ceil(n / math.log2(n + 1))))
-        assert widths == [first]
+        first = min(n, max(k, min(64, math.ceil(n / math.log2(n + 1)))))
+        assert widths == [first] == [64]
         assert res.solver_params["order_width"] == first < deep
 
 
