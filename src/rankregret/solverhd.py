@@ -6,8 +6,10 @@ vector within a provable distance) united with Monte-Carlo samples
 (coverage of the finite set transfers to the sphere with high
 probability).  Selecting tuples so that every finite vector sees a
 top-k member is a set-cover instance solved greedily; every top-k comes
-from one exact descending order prefix, built per direction cell over the
-tuples that can reach the cell's top K (threshold-algorithm bounds).  For
+from one descending order prefix, built per direction cell over the
+tuples that can reach the cell's top K (threshold-algorithm bounds) and
+exact up to each vector's first basis tuple: beyond it the cover never
+reads, as a vector with a basis tuple in its top-k is already covered.  For
 a size budget r, a doubling-plus-binary search finds the smallest
 threshold k whose cover fits r.  For a threshold k, the greedy cover at k
 bounds the size, and the same search, capped at k, then tries each
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Dataset, RegretResult, RestrictedSpace, _canonical, _canonical_at,
-                   _cell_candidates, _key_slack, _score_blocks, min_ranks_for_vectors)
+                   _cell_candidates, _key_slack, _score_blocks, _set_best, _set_rows,
+                   min_ranks_for_vectors)
 from .skyline import basis
 
 SAMPLE_CAP = 1_000_000
@@ -255,40 +258,53 @@ class CoverStructure:
     k: int
 
 
-def _descending_order(D: Dataset, vectors: np.ndarray, K: int) -> np.ndarray:
+def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.ndarray:
     """First K columns of every vector's descending tuple order by
     canonical score, ties to the lower index: exactly
     ``np.argsort(-core._canonical(vectors, D.values), axis=1,
-    kind="stable")[:, :K]``.
+    kind="stable")[:, :K]``, up to and including each row's first tuple
+    of the 1-based index set ``stop``.  After that tuple a row's columns
+    are filler; a row with no stop tuple in its first K places is exact
+    in all of them.
 
-    Per direction cell only the tuples of ``core._cell_candidates`` whose
-    upper bound reaches the cell's K-th largest lower bound are keyed:
-    K tuples score at least that bound at every row of the cell, so no
-    other tuple is in any row's top K.  Each block of keys is partitioned
-    to its top K and only that prefix is sorted.  Keys farther apart than
-    twice ``core._key_slack`` order as their canonical scores do.  A row
-    with two adjacent prefix keys closer than that is re-sorted stably on
-    canonical scores from index order; a row with a key outside the prefix
-    that close to its K-th key, where the partition may have chosen the
-    wrong tuples, is sorted stably in full on canonical scores.  The
-    candidates are sorted, so positions among them map back to tuples
-    with the index tie rule intact.  Peak working memory is
-    O(``_BLOCK_CELLS``) cells whatever K is, plus the N x K output.
+    Per direction cell only the tuples of ``core._cell_candidates`` that
+    reach the cell's floor are keyed.  The floor is the larger of the
+    cell's K-th largest lower bound (K tuples score at least that at every
+    row of the cell, so no other tuple is in any row's top K) and its
+    lowest best stop-tuple score (every tuple before a row's first stop
+    tuple scores at least that).  The stop tuples are always keyed, and a
+    cell with fewer than K candidates sorts all of them.  Each block of
+    keys is partitioned to its top K and only that prefix is sorted.  Keys
+    farther apart than twice ``core._key_slack`` order as their canonical
+    scores do.  A row with two adjacent prefix keys closer than that is
+    re-sorted stably on canonical scores from index order; a row with a
+    key outside the prefix that close to its K-th key, where the partition
+    may have chosen the wrong tuples, is sorted stably in full on
+    canonical scores.  The candidates are sorted, so positions among them
+    map back to tuples with the index tie rule intact.  Peak working
+    memory is O(``_BLOCK_CELLS``) cells whatever K is, plus the N x K
+    output.
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     if not 1 <= K <= D.n:
         raise ValueError(f"order width K must be in 1..{D.n}, got {K}")
     X = D.values
     near = 2 * _key_slack(V, X)
+    keep = _set_rows(stop, D.n) if len(stop) else None
+    stop_best = None if keep is None else _set_best(D, V, keep)[0]
 
-    def kth_lower(groups, lower):
+    def floor(groups, lower):
         low = lower()
         low.partition(D.n - K, axis=1)
-        return low[:, D.n - K]
+        kth = low[:, D.n - K]
+        if stop_best is None:
+            return kth
+        return np.maximum(kth, [stop_best[ids].min() for ids in groups])
 
     out = np.empty((V.shape[0], K), dtype=np.int32)
-    for ids, cand in _cell_candidates(V, X, kth_lower):
+    for ids, cand in _cell_candidates(V, X, floor, keep):
         Xc = X[cand]
+        Kc = min(K, cand.size)
 
         def negated_keys(sl):
             block = V[ids[sl]] @ Xc.T
@@ -299,10 +315,10 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int) -> np.ndarray:
         # cand + 3K cells keeps a block's peak near 16 * _BLOCK_CELLS bytes
         # for every K, so the memory of a solve does not depend on how deep
         # its thresholds go.
-        for sl, neg in _score_blocks(negated_keys, ids.size, cand.size + 3 * K):
+        for sl, neg in _score_blocks(negated_keys, ids.size, cand.size + 3 * Kc):
             at = ids[sl]
             # int32 indices keep the working set small when K is close to n
-            top = np.argpartition(neg, K - 1, axis=1)[:, :K].astype(np.int32)
+            top = np.argpartition(neg, Kc - 1, axis=1)[:, :Kc].astype(np.int32)
             top_neg = _take_rows(neg, top)
             pos = np.argsort(top_neg, axis=1)
             rows = _take_rows(top, pos)
@@ -313,13 +329,33 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int) -> np.ndarray:
                 by_index = np.sort(top[close], axis=1)
                 score = _canonical_at(V, Xc, at[close, None], by_index)
                 rows[close] = _take_rows(by_index, np.argsort(-score, axis=1, kind="stable"))
-            spill = np.flatnonzero(np.count_nonzero(neg <= sorted_neg[:, K - 1:] + gap,
-                                                    axis=1) > K)
+            spill = np.flatnonzero(np.count_nonzero(neg <= sorted_neg[:, Kc - 1:] + gap,
+                                                    axis=1) > Kc)
             if spill.size:
                 score = _canonical(V[at[spill]], Xc)
-                rows[spill] = np.argsort(-score, axis=1, kind="stable")[:, :K]
-            out[at] = cand[rows]
+                rows[spill] = np.argsort(-score, axis=1, kind="stable")[:, :Kc]
+            out[at, :Kc] = cand[rows]
+            if Kc < K:
+                # all candidates are sorted, each row's first stop tuple
+                # among them; the rest of the row is filler
+                out[at, Kc:] = out[at, Kc - 1:Kc]
     return out
+
+
+def _first_stop(order: np.ndarray, in_stop: np.ndarray) -> np.ndarray:
+    """Per row of an order prefix, the first column holding a tuple of the
+    0-based mask ``in_stop``, or the prefix width when none does."""
+    hit = in_stop[order]
+    first = np.argmax(hit, axis=1)
+    first[~hit.any(axis=1)] = order.shape[1]
+    return first
+
+
+def _tuple_mask(indices, n: int) -> np.ndarray:
+    """Boolean mask over the n tuples of a 1-based index set."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(sorted(indices), dtype=int) - 1] = True
+    return mask
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -329,26 +365,29 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _uncovered_top_k(D: Dataset, k: int, basis_indices, disc: Discretization,
-                     order: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+                     order: np.ndarray | None,
+                     first_basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The vectors whose top-k holds no basis tuple, and those top-k rows.
 
     Row i of the returned matrix holds the 0-based tuples that cover
     vector ``uncovered_ids[i]``: its entries are the (tuple, vector)
     pairs of the cover instance.  ``order`` is a descending order prefix
-    of every vector (``_descending_order``) at least k wide.
+    of every vector (``_descending_order``) at least k wide, exact up to
+    each row's first basis tuple.  ``first_basis`` holds each row's first
+    basis column in it (``_first_stop``); without it the first k columns
+    are searched.
     """
     if not 1 <= k <= D.n:
         raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
     if order is None:
-        order = _descending_order(D, disc.vectors, k)
+        order = _descending_order(D, disc.vectors, k, basis_indices)
     elif np.ndim(order) != 2 or order.shape[0] != disc.size or order.shape[1] < k:
         raise ValueError(f"order must have {disc.size} rows and at least k={k} "
                          f"columns, got shape {np.shape(order)}")
-    topk = order[:, :k]
-    in_basis = np.zeros(D.n, dtype=bool)
-    in_basis[np.asarray(sorted(basis_indices), dtype=int) - 1] = True
-    uncovered_ids = np.flatnonzero(~in_basis[topk].any(axis=1))
-    return uncovered_ids, topk[uncovered_ids]
+    if first_basis is None:
+        first_basis = _first_stop(order[:, :k], _tuple_mask(basis_indices, D.n))
+    uncovered_ids = np.flatnonzero(first_basis >= k)
+    return uncovered_ids, order[uncovered_ids, :k]
 
 
 def build_cover(D: Dataset, k: int, basis_indices, disc: Discretization,
@@ -384,7 +423,12 @@ def greedy_min_superset(D: Dataset, k: int, basis_indices, disc: Discretization,
     then drops the pairs of the vectors it covered.  ``order`` is as in
     ``build_cover``.
     """
-    _, rows = _uncovered_top_k(D, k, basis_indices, disc, order)
+    return _greedy(_uncovered_top_k(D, k, basis_indices, disc, order)[1], basis_indices)
+
+
+def _greedy(rows: np.ndarray, basis_indices) -> tuple[int, ...]:
+    """The basis plus the greedy picks covering every row of ``rows``, the
+    top-k rows of the uncovered vectors (``_uncovered_top_k``)."""
     chosen: list[int] = []
     while rows.shape[0]:
         best = int(np.argmax(np.bincount(rows.ravel())))
@@ -394,24 +438,30 @@ def greedy_min_superset(D: Dataset, k: int, basis_indices, disc: Discretization,
 
 
 def discrete_rank_regret(S, D: Dataset, disc: Discretization) -> int:
-    """Worst rank-regret of S over the finite vector set, by direct scoring."""
+    """Worst rank-regret of S over the finite vector set, by the pruned
+    rank kernel ``min_ranks_for_vectors``."""
     return int(min_ranks_for_vectors(D, disc.vectors, S).max())
 
 
 class _HdInstance:
     """One HD problem prepared for many cover calls: the dataset, its
-    basis, the discretization with its sample size m, an exact descending
-    order prefix of every discretization vector, and the greedy cover at
-    every threshold asked for so far.
+    basis, the discretization with its sample size m, a descending order
+    prefix of every discretization vector, exact up to the vector's first
+    basis tuple, with that tuple's column, and the greedy cover at every
+    threshold asked for so far.
 
-    The prefix is built on first use
-    ``min(n, max(k, min(64, ceil(n / log2(n + 1)))))`` wide: its cost
-    follows the tuples that survive the per-cell bounds at that width, so
-    it starts near the thresholds a solve reaches, not near n / log n.  A
-    later threshold beyond the width rebuilds it at least twice as wide.
+    A vector whose top-k holds a basis tuple is covered before the greedy
+    starts, so the cover never reads its order beyond that tuple.  The
+    prefix is built on first use
+    ``min(cap, max(k, min(64, ceil(n / log2(n + 1)))))`` wide, where cap
+    is the largest threshold the caller will ask for (n by default).  A
+    later threshold beyond the width rebuilds, at least twice as wide,
+    only the rows whose prefix holds no basis tuple yet; every other row
+    keeps its columns and is padded with filler.
     """
 
-    def __init__(self, D: Dataset, params: HdParams, space, direction_sampler):
+    def __init__(self, D: Dataset, params: HdParams, space, direction_sampler,
+                 cap: int | None = None):
         d, n = D.d, D.n
         if params.r > n:
             raise ValueError(f"budget r={params.r} exceeds the dataset size {n}")
@@ -420,11 +470,13 @@ class _HdInstance:
         self.D = D
         self.params = params
         self.space = space
+        self.cap = n if cap is None else cap
         self.basis = basis(D).indices
         self.m = params.sample_size(n, d)
         self.disc = build_discretization(d, params.gamma, self.m, params.seed, space,
                                          direction_sampler)
         self.order: np.ndarray | None = None
+        self.first_basis: np.ndarray | None = None
         self.covers: dict[int, tuple[int, ...]] = {}
 
     @property
@@ -432,21 +484,29 @@ class _HdInstance:
         return 0 if self.order is None else self.order.shape[1]
 
     def order_for(self, k: int) -> np.ndarray | None:
-        """The order prefix, first rebuilt wider when it has fewer than k columns."""
+        """The order prefix, first widened when it has fewer than k columns."""
         width = self.order_width
         if k > width:
-            n = self.D.n
-            floor = 2 * width if width else min(64, math.ceil(n / math.log2(n + 1)))
-            self.order = None  # free the narrower prefix before building the wider one
-            self.order = _descending_order(self.D, self.disc.vectors,
-                                           min(max(k, floor), n))
+            D = self.D
+            floor = 2 * width if width else min(64, math.ceil(D.n / math.log2(D.n + 1)))
+            K = min(max(k, floor), self.cap)
+            redo = np.flatnonzero(self.first_basis >= width) if width else slice(None)
+            rows = _descending_order(D, self.disc.vectors[redo], K, self.basis)
+            first = _first_stop(rows, _tuple_mask(self.basis, D.n))
+            if width:
+                order = np.pad(self.order, ((0, 0), (0, K - width)), mode="edge")
+                order[redo], self.first_basis[redo] = rows, first
+                rows, first = order, self.first_basis
+            self.order, self.first_basis = rows, first
         return self.order
 
     def cover(self, k: int) -> tuple[int, ...]:
         """The greedy cover at threshold k, built on the first call for k."""
         if k not in self.covers:
-            self.covers[k] = greedy_min_superset(self.D, k, self.basis, self.disc,
-                                                 self.order_for(k))
+            order = self.order_for(k)
+            _, rows = _uncovered_top_k(self.D, k, self.basis, self.disc, order,
+                                       self.first_basis)
+            self.covers[k] = _greedy(rows, self.basis)
         return self.covers[k]
 
 
@@ -480,9 +540,11 @@ def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...]) -> RegretResu
         raise AssertionError(
             f"cover check failed: discrete rank-regret {verified} exceeds {k}"
         )
-    # the order prefix is the canonical order, at least k wide: the first
-    # vector with no member of Q in its first verified - 1 places is where
-    # Q's rank is verified
+    # the order prefix is the canonical order, at least k wide, up to each
+    # vector's first basis tuple: the first vector with no member of Q in
+    # its first verified - 1 places is where Q's rank is verified.  Every
+    # cover holds the basis, so a vector whose first basis tuple comes
+    # that early is rightly counted as reached, filler or not
     early = np.isin(inst.order[:, :verified - 1], np.asarray(Q) - 1).any(axis=1)
     witness = int(np.argmin(early))
     if early[witness]:
@@ -540,8 +602,7 @@ def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
     at one below the size of each set it finds, until a budget finds no
     cover or falls below the basis size: greedy sizes are not monotone in
     k, so a threshold below k can give a smaller cover.  No threshold above
-    k is visited, so the order prefix is built once,
-    ``min(n, max(k, min(64, ceil(n / log2(n + 1)))))`` wide, and each
+    k is visited, so the order prefix is built once, k wide, and each
     cover once.
     The cap has a cost: when the cover at k does not fit a budget, a fitting
     threshold between the last doubling step and k is not searched, so this
@@ -552,7 +613,7 @@ def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
     """
     if not 1 <= k <= D.n:
         raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
-    inst = _HdInstance(D, params, space, direction_sampler)
+    inst = _HdInstance(D, params, space, direction_sampler, cap=k)
     r, best = len(inst.cover(k)), None
     while r >= len(inst.basis):
         found = _search(inst, r, k)

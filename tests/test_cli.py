@@ -131,9 +131,8 @@ class TestRrr:
         assert code == 0
         data = json.loads(out)
         assert data["rank_regret"] <= 6
-        # no threshold above k = 6 is visited, so the prefix keeps its first
-        # width, max(6, ceil(40 / log2(41))) = 8
-        assert data["params"]["order_width"] == 8
+        # no threshold above k = 6 is visited, so the prefix is k wide
+        assert data["params"]["order_width"] == 6
 
 
 class TestEval:

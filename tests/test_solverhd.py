@@ -130,6 +130,32 @@ def test_order_prefix_matches_stable_argsort(data, cells):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), cells=block_budgets)
+def test_order_prefix_is_exact_up_to_the_first_stop_tuple(data, cells):
+    # integer tables with duplicate rows: a stop tuple ties its twin and,
+    # under integer vectors, other tuples at any position
+    d = data.draw(st.integers(2, 4))
+    D = rr.Dataset(np.asarray(data.draw(grid_tables(d)), float), normalized=False)
+    X = D.values
+    twins = [i for i in range(D.n) if (X == X[i]).all(axis=1).sum() > 1]
+    tied = data.draw(st.sampled_from(twins) if twins else st.integers(0, D.n - 1))
+    stop = sorted({tied + 1} | data.draw(st.sets(st.integers(1, D.n), max_size=2)))
+    V = np.asarray(data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any),
+        min_size=1, max_size=8)), float)
+    want = np.argsort(-(V @ X.T), axis=1, kind="stable")
+    in_stop = np.isin(np.arange(D.n), np.asarray(stop) - 1)
+    with kernel_layout(cells, data.draw(cell_labels(len(V)))):
+        for K in range(1, D.n + 1):
+            got = _descending_order(D, V, K, stop)
+            assert got.shape == (len(V), K) and ((0 <= got) & (got < D.n)).all()
+            for row, exact in zip(got, want[:, :K]):
+                hits = np.flatnonzero(in_stop[exact])
+                end = hits[0] + 1 if hits.size else K
+                assert np.array_equal(row[:end], exact[:end])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), cells=block_budgets)
 def test_order_prefix_matches_stable_canonical_order(data, cells):
     # float vectors on near-tied tables: the prefix must follow the
     # canonical score wherever BLAS keys would order tuples otherwise
@@ -331,6 +357,30 @@ class TestSolveRrmHd:
             assert rr.rank_regret_of_set(w["vector"], res.selected_indices, D) == value
             assert rr.discrete_rank_regret(res.selected_indices, D, disc) == value
 
+    def test_wider_prefix_reorders_only_vectors_the_basis_has_not_reached(self,
+                                                                            monkeypatch):
+        # n = 1000, d = 5, default m (N = 13 870): the threshold passes 64,
+        # and the 128-wide rebuild gets only the vectors with no basis
+        # tuple in their first 64 places
+        D = generate(GenSpec("independent", 1000, 5, seed=2692315475))
+        params = HdParams(r=6, seed=1775468347)
+        real = solverhd._descending_order
+        calls = []
+
+        def recording(D, vectors, K, stop=()):
+            calls.append((np.array(vectors), K))
+            return real(D, vectors, K, stop)
+
+        monkeypatch.setattr(solverhd, "_descending_order", recording)
+        res = rr.solve_rrm_hd(D, params)
+        assert res.rank_regret > 64
+        (V, first), (again, wider) = calls
+        assert (len(V), first, wider) == (13_870, 64, 128)
+        exact = real(D, V, 64)
+        reached = np.isin(exact, np.asarray(D.basis_indices) - 1).any(axis=1)
+        assert np.array_equal(again, V[~reached])
+        assert len(again) == 3382
+
     def test_memory_and_scale(self):
         # the default m here is about 14 400 vectors; a full order matrix
         # of all 5000 tuples would need hundreds of MB
@@ -440,8 +490,7 @@ class TestSolveRrrHd:
 
     def test_prefix_is_built_once_at_its_first_width(self, monkeypatch):
         # the basis alone reaches only a deep threshold here; no threshold
-        # above k is visited, so the prefix keeps the width of its first
-        # build, 64 at n=1000
+        # above k is visited, so the prefix is built once, k wide
         D = generate(GenSpec("anti-correlated", 1000, 3, seed=501))
         params = HdParams(r=3, gamma=4, m=2000, seed=501)
         disc = rr.build_discretization(3, 4, 2000, seed=501)
@@ -449,16 +498,15 @@ class TestSolveRrrHd:
         real = solverhd._descending_order
         widths = []
 
-        def counting(D, vectors, K):
+        def counting(D, vectors, K, stop=()):
             widths.append(K)
-            return real(D, vectors, K)
+            return real(D, vectors, K, stop)
 
         monkeypatch.setattr(solverhd, "_descending_order", counting)
-        k, n = 10, D.n
+        k = 10
         res = rr.solve_rrr_hd(D, k, params)
-        first = min(n, max(k, min(64, math.ceil(n / math.log2(n + 1)))))
-        assert widths == [first] == [64]
-        assert res.solver_params["order_width"] == first < deep
+        assert widths == [k]
+        assert res.solver_params["order_width"] == k < deep
 
 
 class TestHdParams:
