@@ -2,10 +2,11 @@
 
 Everything here trades time for simplicity: subsets are enumerated
 outright and evaluated either exactly (d = 2, ranks at the critical
-points and in the cells between them, as ``exact_chain_rank`` ranks) or
-by a high-density vector sample (d > 2, ranked on canonical scores as
-``core.rank`` ranks; a lower bound on the true worst case).  A
-combinatorial guard keeps runs at desk scale.
+points and in the cells between them, carried through the crossings as
+``exact_chain_rank`` carries them) or by a high-density vector sample
+(d > 2, ranked on canonical scores as ``core.rank`` ranks; a lower bound
+on the true worst case).  The 2D dense grid ranks its points directly.
+A combinatorial guard keeps runs at desk scale.
 """
 
 from __future__ import annotations
@@ -72,16 +73,30 @@ def dense_grid_chain_rank(S, D: Dataset, interval: tuple[float, float] = (0.0, 1
                           points: int = 100_000) -> int:
     """Worst rank of S over a dense uniform x-grid (can only under-count).
 
-    Each grid point is ranked exactly, as ``exact_chain_rank`` ranks a
-    point.  Peak working memory is O(``_BLOCK_CELLS``) scores plus the
-    grid.
+    Each grid point is ranked directly, not by the solver's crossing
+    walk: float scores decide outside ``_Form.tol``, exact integer scores
+    inside it, then the lower row.  Peak working memory is
+    O(``_BLOCK_CELLS``) scores plus the grid.
     """
+    if D.d != 2 or points < 1:
+        raise ValueError(f"the dense grid needs d = 2 and points >= 1, got {D.d}, {points}")
     rows = _set_rows(S, D.n)
     xs = np.linspace(interval[0], interval[1], points)
-    form, none = _Form(D.values, interval), np.full(points, -1)
-    _, at, _ = _set_ranks(form, np.arange(D.n), [rows],
-                          form.number(xs, np.zeros(points), none, none))
-    return int(at.max())
+    form, best = _Form(D.values, interval), np.full(points, D.n)
+    for sl, Y in _score_blocks(lambda sl: np.multiply.outer(xs[sl], form.s) + form.b,
+                               points, D.n):
+        tol = form.tol(xs[sl])[:, None]
+        for m in rows.tolist():
+            y = Y[:, m:m + 1]
+            i, j = np.nonzero(np.abs(Y - y) <= tol)
+            i, j = i[j != m], j[j != m]
+            p, q = np.array([x.as_integer_ratio() for x in xs[sl][i].tolist()],
+                            dtype=object).reshape(-1, 2).T
+            diff = (form.B[j] - form.B[m]) * q + (form.S[j] - form.S[m]) * p
+            up = i[(diff > 0) | ((diff == 0) & (j < m))]
+            rank = np.count_nonzero(Y > y + tol, axis=1) + np.bincount(up, minlength=len(y)) + 1
+            np.minimum(best[sl], rank, out=best[sl])
+    return int(best.max())
 
 
 def exact_rat_k_2d(S, D: Dataset, k: int, space: RestrictedSpace | None = None) -> float:
@@ -91,8 +106,8 @@ def exact_rat_k_2d(S, D: Dataset, k: int, space: RestrictedSpace | None = None) 
     Ranks are constant on the open cell between consecutive critical
     points (``exact_chain_rank``'s points, in exact order), where they are
     the cell ranks right of the first; each cell is weighted by the angle
-    swept by the normalized direction (c, 1-c).  Peak working memory is
-    O(``_BLOCK_CELLS``) scores plus the critical points.
+    swept by the normalized direction (c, 1-c).  Working memory is
+    O(|S| * n) crossings.
     """
     if D.d != 2:
         raise ValueError("exact_rat_k_2d requires d = 2")
@@ -180,9 +195,9 @@ def exhaustive_rrm(D: Dataset, r: int, space: RestrictedSpace | None = None,
     mode "skyline" enumerates restricted-skyline subsets, "all" every
     subset (useful to confirm the candidate reduction loses nothing).
     For d = 2 the evaluation is exact; for d > 2 it is the worst rank
-    over a sampled vector set and therefore a lower bound.  Peak working
-    memory is O(``_BLOCK_CELLS``) scores plus the output, the rank
-    profile of each candidate at each evaluation point.
+    over a sampled vector set and therefore a lower bound.  Working memory
+    is the output, each candidate's rank profile, plus O(candidates * n)
+    crossings (d = 2) or O(``_BLOCK_CELLS``) scores (d > 2).
     """
     if not 1 <= r <= D.n:
         raise ValueError(f"budget r must be in 1..{D.n}, got {r}")

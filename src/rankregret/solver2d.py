@@ -16,9 +16,10 @@ rational.  At a point x the lines are ordered by their exact score,
 then by the lower tuple index; in the open cell just right of x, by the
 score at x, then by slope descending, then by index (the index is the
 symbolic perturbation of Edelsbrunner and Muecke's simulation of
-simplicity).  Float keys decide wherever they lie farther apart than
-their error bound; only keys that coincide within it are compared in
-exact integer arithmetic.
+simplicity).  A line is ranked exactly at the start of the interval
+only; its rank changes only where it crosses another line, so it is
+carried through its crossings in exact order (Bentley-Ottmann), with no
+float scoring and O(|S| * n) crossings of working memory for S of n.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, RegretResult, RestrictedSpace, _score_blocks, _set_rows
+from .core import Dataset, RegretResult, RestrictedSpace, _set_rows
 from .skyline import restricted_skyline
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -120,10 +121,11 @@ class _Form:
     def __init__(self, values: np.ndarray, interval, sky_rows=None):
         self.values = values
         self.lo, self.hi = float(interval[0]), float(interval[1])
+        if not 0.0 <= self.lo <= self.hi <= 1.0:
+            raise ValueError(f"interval must satisfy 0 <= lo <= hi <= 1, got {tuple(interval)}")
         self.b = values[:, 1]
         self.s = values[:, 0] - values[:, 1]
-        self._smax = float(np.abs(self.s).max())
-        self._mag = float(np.abs(self.b).max()) + self._smax
+        self._mag = float(np.abs(self.b).max()) + float(np.abs(self.s).max())
         # values = mant * 2**-den exactly, mant a 53-bit integer
         mant, expo = np.frexp(values)
         nonzero = values != 0
@@ -147,10 +149,10 @@ class _Form:
         num, den = self.B[pc] - self.B[pm], self.S[pm] - self.S[pc]
         return None if den == 0 else (num, den) if den > 0 else (-num, -den)
 
-    def tol(self, x, err):
-        """Bound on the float error of a score difference at a float x
-        within ``err`` of the exact point, with scores b + s * x."""
-        return 3.0 * self._smax * err + 16.0 * _U * self._mag * (1.0 + np.abs(x))
+    def tol(self, x):
+        """Bound on the float error of a difference of scores b + s * x at
+        the float x."""
+        return 16.0 * _U * self._mag * (1.0 + np.abs(x))
 
     def order(self, rows: np.ndarray, x: float, after: bool = False) -> np.ndarray:
         """rows top to bottom at the point x (exact score, then row) or,
@@ -160,7 +162,7 @@ class _Form:
         if x in (0.0, 1.0):
             y, tol = self.values[rows, 1 - int(x)], 0.0
         else:
-            y, tol = self.b[rows] + self.s[rows] * x, float(self.tol(x, 0.0))
+            y, tol = self.b[rows] + self.s[rows] * x, float(self.tol(x))
         idx = np.lexsort((rows, -self.s[rows], -y) if after else (rows, -y))
         rows, y = rows[idx], y[idx]
         if tol or after:
@@ -256,63 +258,41 @@ def _cmp(frac: tuple[int, int], v: float) -> int:
     return _sign(frac[0] * q - p * frac[1])
 
 
-def _own_ranks(form: _Form, lines: np.ndarray, members, P: _Points) -> dict:
+def _own_ranks(form: _Form, lines: np.ndarray, members: np.ndarray, P: _Points) -> dict:
     """Rank of each member row (ascending) among ``lines`` at each of its
-    own distinct points (the ends and its crossings), and in the open
-    cell just right of each: row -> (own point numbers, ranks at them,
-    ranks right of them).
+    own distinct points of ``form.points`` (lo, hi and its crossings),
+    and in the open cell just right of each: row -> (own point numbers,
+    ranks at them, ranks right of them).
 
-    A line counts as above or below the member by its float score unless
-    it lies within the error bound ``form.tol`` of the member's, and only
-    those lines are ranked exactly; the line crossing the member at a
-    point is decided without exact arithmetic.  Peak working memory is
-    O(``_BLOCK_CELLS``) scores plus the output.
+    The ranks at lo are exact (``_Form.order``) and carried through the
+    crossings: left of one the flatter line is above, at it the lower
+    row, right of it the steeper line.
     """
-    members = np.asarray(members)
-    ends = np.flatnonzero(P.pm < 0)
-    by_m, by_c = np.isin(P.pm, members), np.isin(P.pc, members)
-    # (member, point, the line crossing it there or -1) for every member's
-    # points, ascending, one line per point
-    m = np.concatenate([P.pm[by_m], P.pc[by_c], np.repeat(members, ends.size)])
-    g = np.concatenate([P.point[by_m], P.point[by_c], np.tile(P.point[ends], members.size)])
-    partner = np.concatenate([P.pc[by_m], P.pm[by_c], np.full(members.size * ends.size, -1)])
-    _, first = np.unique(m * P.rep.size + g, return_index=True)
-    m, g, partner = m[first], g[first], partner[first]
-    b, s = form.b[lines], form.s[lines]
-    col, pcol = np.searchsorted(lines, m), np.searchsorted(lines, partner)
-    k_of = P.rep[g]
-    xs, tol = P.x[k_of], form.tol(P.x[k_of], P.err[k_of])
-    at = np.empty(m.size, dtype=np.int64)
-    right = np.empty(m.size, dtype=np.int64)
-
-    def scores(sl):  # one block-sized array: the scores are formed in place
-        Y = np.multiply.outer(xs[sl], s)
-        Y += b
-        return Y
-
-    for sl, Y in _score_blocks(scores, m.size, lines.size):
-        t, y = tol[sl], Y[np.arange(Y.shape[0]), col[sl]]
-        above = np.count_nonzero(Y > (y + t)[:, None], axis=1)
-        near = np.count_nonzero(Y >= (y - t)[:, None], axis=1) - above
-        at[sl], right[sl] = above + 1, above + 1
-        two = np.flatnonzero((near == 2) & (partner[sl] >= 0))
-        p_two, m_two = pcol[sl][two], col[sl][two]
-        fine = (np.abs(Y[two, p_two] - y[two]) <= t[two]) & (s[p_two] != s[m_two])
-        two, p_two, m_two = two[fine], p_two[fine], m_two[fine]
-        at[sl.start + two] += partner[sl][two] < m[sl][two]
-        right[sl.start + two] += s[p_two] > s[m_two]
-        for k in np.setdiff1d(np.flatnonzero(near > 1), two).tolist():
-            kk, mk = int(k_of[sl.start + k]), int(m[sl.start + k])
-            p, q = form.point(float(P.x[kk]), int(P.pm[kk]), int(P.pc[kk]))
-            ym = form.B[mk] * q + form.S[mk] * p
-            ups = [0, 0]
-            for row in lines[np.abs(Y[k] - y[k]) <= t[k]].tolist():
-                score = form.B[row] * q + form.S[row] * p
-                if row != mk and score >= ym:
-                    ups[0] += score > ym or row < mk
-                    ups[1] += score > ym or (form.S[row], -row) > (form.S[mk], -mk)
-            at[sl.start + k] = above[k] + ups[0] + 1
-            right[sl.start + k] = above[k] + ups[1] + 1
+    start = [np.argsort(np.searchsorted(lines, form.order(lines, form.lo, after))) + 1
+             for after in (False, True)]  # by column of lines: ranks at lo, right of lo
+    # (member, point, partner) per crossing right of lo, as the orders at
+    # lo count point 0, and (member, end, member) per end
+    k, ends = np.flatnonzero((P.pm >= 0) & (P.point > 0)), P.point[P.pm < 0]
+    m, c = (np.concatenate([u[k], v[k], np.repeat(members, ends.size)])
+            for u, v in ((P.pm, P.pc), (P.pc, P.pm)))
+    g = np.concatenate([P.point[k], P.point[k], np.tile(ends, members.size)])
+    mine = np.isin(m, members)
+    m, c, g = m[mine], c[mine], g[mine]
+    # float slopes round monotonically, so only equal floats need S
+    steeper = form.s[c] > form.s[m]
+    tie = np.flatnonzero(form.s[c] == form.s[m])
+    steeper[tie] = form.S[c[tie]] > form.S[m[tie]]
+    flatter = (c != m) & ~steeper
+    # the rank changes summed per (member, point), ascending
+    key, inv = np.unique(m * P.rep.size + g, return_inverse=True)
+    d_at, d_right = (np.bincount(inv, w).astype(np.int64)
+                     for w in ((c < m) * 1 - flatter, steeper * 1 - flatter))
+    m, g = np.divmod(key, P.rep.size)
+    first = np.searchsorted(m, members)  # each member's point 0
+    run = np.cumsum(d_right)
+    right = start[1][np.searchsorted(lines, m)] + run - run[first][np.searchsorted(members, m)]
+    at = right - d_right + d_at
+    at[first] = start[0][np.searchsorted(lines, members)]
     cuts = np.searchsorted(m, members, side="right")
     return {int(row): (g[a:z], at[a:z], right[a:z])
             for row, a, z in zip(members, np.concatenate([[0], cuts[:-1]]), cuts)}
@@ -357,8 +337,8 @@ def exact_chain_rank(S, D: Dataset, interval: tuple[float, float] = (0.0, 1.0)) 
     line, so it is taken exactly at the ends, at every such crossing
     inside the interval, and in the open cell just right of each of
     these points but hi (see the module docstring for the two orders).
-    Peak working memory is O(``_BLOCK_CELLS``) scores plus the critical
-    points.
+    Ranks are carried from lo through the members' crossings; working
+    memory is O(|S| * n) crossings.  Requires 0 <= lo <= hi <= 1.
     """
     if D.d != 2:
         raise ValueError("exact_chain_rank requires d = 2")
@@ -468,10 +448,11 @@ def _sweep(form: _Form, band: np.ndarray, r: int, trace=None):
 
     The events are the crossings of skyline lines with band lines, in
     exact order, and all crossings at one exact x are one batch.  A
-    skyline line's rank changes only at its own crossings, where
-    ``_own_ranks`` ranks it, so the DP visits the points where skyline
-    lines meet (``_pass_point``) and takes the worst of the ranks in
-    between.  With a ``trace`` every band line is ranked, so each batch
+    skyline line's rank changes only at its own crossings, through which
+    ``_own_ranks`` carries its exact rank at lo, so the DP visits the
+    points where skyline lines meet (``_pass_point``) and takes the worst
+    of the ranks in between.  Working memory is O(|skyline| * |band|)
+    crossings.  With a ``trace`` every band line is ranked, so each batch
     reports the whole order.
     """
     sky = form.sky.tolist()

@@ -101,6 +101,15 @@ class TestDenseGridAgreement:
         got = [rr.dense_grid_chain_rank([i], demo7) for i in range(1, 8)]
         assert got == [7, 4, 3, 4, 7, 7, 7]
 
+    def test_requires_2d(self):
+        with pytest.raises(ValueError):
+            rr.dense_grid_chain_rank([1, 2], random_dataset(30, 3, seed=71))
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_requires_a_point(self, points):
+        with pytest.raises(ValueError):
+            rr.dense_grid_chain_rank([1, 2], random_dataset(30, 2, seed=71), points=points)
+
     def test_peak_memory_is_bounded(self):
         # 20k grid points over 2000 lines: a full rank matrix would hold
         # 40M cells; score blocks keep the peak far lower

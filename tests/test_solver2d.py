@@ -67,11 +67,22 @@ class TestExactChainRank:
         with pytest.raises(ValueError):
             rr.exact_chain_rank([], demo7)
 
-    def test_peak_memory_is_bounded(self):
-        # about 12k evaluation points over 3000 lines: a full rank matrix
-        # would hold 36M cells; score blocks keep the peak far lower
-        D = rr.generate(rr.GenSpec("independent", 3000, 2, seed=3))
-        peak = traced_peak(lambda: rr.exact_chain_rank(D.basis_indices, D))
+    @pytest.mark.parametrize("interval", [(0.8, 0.2), (-0.5, 1.5), (0.0, 1.5), (-0.1, 0.0)])
+    def test_interval_outside_unit_or_reversed_rejected(self, interval):
+        D = random_dataset(30, 2, seed=5)
+        with pytest.raises(ValueError):
+            rr.exact_chain_rank([1, 2], D, interval)
+
+    @pytest.mark.parametrize("kind, n, seed, solved", [
+        ("independent", 3000, 3, False),
+        ("anti-correlated", 50_000, 1, True),
+    ], ids=["basis-3000", "optimum-50000"])
+    def test_peak_memory_is_bounded(self, kind, n, seed, solved):
+        # working memory is O(crossings of the set): about |S| * n entries
+        # (the r=5 optimum at n=50k peaks near 47 MiB), not points x lines
+        D = rr.generate(rr.GenSpec(kind, n, 2, seed=seed))
+        S = rr.solve_rrm_2d(D, 5).selected_indices if solved else D.basis_indices
+        peak = traced_peak(lambda: rr.exact_chain_rank(S, D))
         assert peak < 96 * 2**20
 
 
@@ -439,13 +450,20 @@ def test_tied_data_matches_fraction_oracle(data, weak):
     S = data.draw(st.lists(st.integers(0, D.n - 1), min_size=1, max_size=3, unique=True))
     prof = _fraction_profiles(D.values, sorted(set(sky) | set(S)), interval)
 
-    def worst(rows):
-        return max(min(ranks) for ranks in zip(*(prof[m] for m in rows)))
+    def worst(rows, profile=prof):
+        return max(min(ranks) for ranks in zip(*(profile[m] for m in rows)))
 
     def subsets(size):
         return itertools.combinations(sky, size)
 
     assert rr.exact_chain_rank([i + 1 for i in S], D, interval) == worst(S)
+    # any quarter-step interval, zero width included: parallel lines,
+    # duplicates and interior cones; the grid can only under-count
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=2)))
+    extra = (lo / 4, hi / 4)
+    want = worst(S, _fraction_profiles(D.values, S, extra))
+    assert rr.exact_chain_rank([i + 1 for i in S], D, extra) == want
+    assert rr.dense_grid_chain_rank([i + 1 for i in S], D, extra, points=2001) <= want
     r = data.draw(st.integers(1, min(3, D.n)))
     best = min(worst(c) for size in range(1, min(r, len(sky)) + 1) for c in subsets(size))
     res = rr.solve_rrm_2d(D, r, space)
