@@ -41,6 +41,12 @@ class CandidateSet:
 _CHUNK = 64
 
 
+def _presort(M: np.ndarray) -> np.ndarray:
+    """Rows in descending lexicographic order of their columns, index last."""
+    n = M.shape[0]
+    return np.lexsort((np.arange(n),) + tuple(-M[:, j] for j in reversed(range(M.shape[1]))))
+
+
 def _sort_filter(M: np.ndarray, K: int, beats) -> np.ndarray:
     """Rows that fewer than K kept rows beat, visiting rows in descending
     lexicographic order of their columns, index last.
@@ -53,7 +59,7 @@ def _sort_filter(M: np.ndarray, K: int, beats) -> np.ndarray:
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    order = np.lexsort((np.arange(n),) + tuple(-M[:, j] for j in reversed(range(M.shape[1]))))
+    order = _presort(M)
     keep = np.zeros(n, dtype=bool)
     kept = np.empty_like(M)
     kept_row = np.empty(n, dtype=np.int64)
@@ -90,9 +96,19 @@ def frontier_mask(M: np.ndarray) -> np.ndarray:
     skyline: rows are visited in descending lexicographic order (index
     last), so every dominator and every lower-index duplicate of a row
     comes before it, and a row is kept iff no kept row is >= it on every
-    column.
+    column.  With two columns every earlier row is >= it on the first, so
+    it is kept iff its second column beats all earlier ones strictly: one
+    sort and a running maximum (Kung, Luccio & Preparata, 1975).
     """
-    return _sort_filter(M, 1, _covers)
+    M = np.asarray(M, dtype=float)
+    if M.shape[1] != 2:
+        return _sort_filter(M, 1, _covers)
+    order = _presort(M)
+    second = M[order, 1]
+    keep = np.zeros(M.shape[0], dtype=bool)
+    keep[order[:1]] = True
+    keep[order[1:]] = second[1:] > np.maximum.accumulate(second)[:-1]
+    return keep
 
 
 def skyband(M: np.ndarray, K: int) -> np.ndarray:

@@ -36,6 +36,7 @@ from .core import Dataset, RegretResult, RestrictedSpace, _set_rows
 from .skyline import restricted_skyline
 
 _U = 2.0 ** -53  # unit roundoff of float64
+_BAND_BLOCK = 256  # lines per numpy pre-test of _band's heap count
 
 
 @dataclass(frozen=True)
@@ -173,12 +174,12 @@ class _Form:
         return rows
 
     @cached_property
-    def ends(self) -> tuple[list[int], list[int]]:
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row in its exact order at lo, and each row's rank at hi."""
         n = self.values.shape[0]
         hi_rank = np.empty(n, dtype=np.int64)
         hi_rank[self.order(np.arange(n), self.hi)] = np.arange(n)
-        return self.order(np.arange(n), self.lo).tolist(), hi_rank.tolist()
+        return self.order(np.arange(n), self.lo), hi_rank
 
     def points(self, lines: np.ndarray, members: np.ndarray) -> _Points:
         """The ends of the interval and every crossing inside it of a
@@ -376,19 +377,29 @@ def _band(form: _Form, K: int) -> np.ndarray:
     never ranks within K; and the skyline rows are the chain lines.  The
     lines before a line in the order at lo outrank it when they rank
     better at hi, which a heap of the K best ranks at hi so far counts.
+    The K-th best only falls, so a block of lines in lo order goes to
+    the heap only where its ranks at hi beat the K-th best before it.
     """
     lo_order, hi_rank = form.ends
-    inside = np.zeros(len(hi_rank), dtype=bool)
+    if K >= lo_order.size:
+        return np.arange(lo_order.size)
+    inside = np.zeros(lo_order.size, dtype=bool)
     inside[form.sky] = True
     best: list[int] = []  # the K best ranks at hi so far, negated
-    for row in lo_order:
-        if len(best) < K:
-            heapq.heappush(best, -hi_rank[row])
-        elif hi_rank[row] < -best[0]:
-            heapq.heapreplace(best, -hi_rank[row])
-        else:
-            continue
-        inside[row] = True
+    for start in range(0, lo_order.size, _BAND_BLOCK):
+        rows = lo_order[start:start + _BAND_BLOCK]
+        ranks = hi_rank[rows]
+        if len(best) == K:
+            beat = ranks < -best[0]
+            rows, ranks = rows[beat], ranks[beat]
+        for row, rank in zip(rows.tolist(), ranks.tolist()):
+            if len(best) < K:
+                heapq.heappush(best, -rank)
+            elif rank < -best[0]:
+                heapq.heapreplace(best, -rank)
+            else:
+                continue
+            inside[row] = True
     return np.flatnonzero(inside)
 
 
@@ -556,9 +567,13 @@ def solve_rrm_2d(D: Dataset, r: int, space: RestrictedSpace | None = None,
     optimum over the band is at most K gives the optimum over all lines.
     A rank among the band never exceeds the rank among all lines, so a
     band optimum above K bounds the optimum from below, and the next
-    round takes K = max(2K, that optimum).  The rounds also stop once the
-    band holds every tuple.  With a ``trace`` callback the band is every
-    tuple from the start, so the callback sees the whole arrangement.
+    round takes K = min(n, max(2K, twice that bound)).  Any K at or above
+    the optimum returns the same set: a rank within K is the same among
+    the band and among all lines and one above K stays above K, so every
+    DP choice that leads to the optimum is made alike on both.  The
+    rounds also stop once the band holds every tuple.  With a ``trace``
+    callback the band is every tuple from the start, so the callback
+    sees the whole arrangement.
     The returned set is re-ranked as ``exact_chain_rank`` ranks it.
     Returns the optimal value and one optimal subset (deterministic
     tie-breaking).
@@ -578,7 +593,7 @@ def solve_rrm_2d(D: Dataset, r: int, space: RestrictedSpace | None = None,
         value = int(M_rank[:, r - 1].min())
         if value <= K or band.size == n:
             break
-        K = max(2 * K, value)
+        K = min(n, max(2 * K, 2 * value))
     indices, value = _verified_chain(form, band, M_rank, chains, r - 1)
     params = {"algo": "2d", "r": r, **_params(form, space, band_k=K, band_size=int(band.size),
                                               events=events)}

@@ -55,9 +55,10 @@ class TestSolve:
         assert data["size"] == 1
         assert data["params"]["config"]["algo"] == "2d"
         # the band at K = 1 bounds the optimum below by 3, and the next
-        # band, at K = 3, holds the 5 skyline tuples and gives the optimum
-        assert data["params"]["band_k"] == 3
-        assert data["params"]["band_size"] == 5
+        # band, at K = min(7, 2 * 3) = 6, holds all 7 tuples and gives
+        # the optimum
+        assert data["params"]["band_k"] == 6
+        assert data["params"]["band_size"] == 7
 
     def test_2d_refused_for_d3(self, d3_csv):
         code, _, err = run(["solve", "--algo", "2d", "--r", "2", "--input", d3_csv])

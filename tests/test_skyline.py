@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankregret as rr
-from rankregret.skyline import frontier_mask, skyband
+from rankregret.skyline import _covers, _sort_filter, frontier_mask, skyband
 
 from conftest import random_dataset
 
@@ -228,3 +228,21 @@ def test_skyband_is_not_dominator_count():
     M = np.array([[1.0, 0.0], [1.0, 1.0]])
     assert frontier_mask(M).tolist() == [False, True]
     assert skyband(M, 1).tolist() == [True, True]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), scale=st.sampled_from([3, 10]))
+def test_two_column_frontier_matches_sort_filter(data, scale):
+    # the running maximum against the sort-filter reference on integer
+    # grids and one-decimal values with duplicate rows, -0.0 beside 0.0,
+    # and tables of 0 and 1 rows
+    rows = data.draw(st.lists(st.tuples(st.integers(0, scale), st.integers(0, scale)),
+                              max_size=12))
+    dup = data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    M = np.asarray(data.draw(st.permutations(rows + dup)), dtype=float).reshape(-1, 2)
+    if scale == 10:
+        M /= 10.0
+    flip = np.asarray(data.draw(st.lists(st.booleans(), min_size=M.size, max_size=M.size)),
+                      dtype=bool).reshape(M.shape)
+    M[flip & (M == 0.0)] = -0.0
+    assert frontier_mask(M).tolist() == _sort_filter(M, 1, _covers).tolist()

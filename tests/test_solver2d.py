@@ -417,6 +417,37 @@ def test_band_is_the_skyband_of_the_exact_end_ranks(data, weak, K):
     assert _band(form, K).tolist() == np.flatnonzero(inside).tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), weak=st.booleans())
+def test_band_at_or_above_the_optimum_returns_the_same_set(data, weak):
+    # solve_rrm_2d may stop at any K at or above the optimum, so the
+    # sweep over the K-band must give the same set and value at each
+    from rankregret.solver2d import _band, _Form, _sweep, _verified_chain
+
+    D = rr.Dataset(_tied_values(data), normalized=False)
+    space = rr.RestrictedSpace.weak_ranking(2) if weak else None
+    r = data.draw(st.integers(1, min(3, D.n)))
+    res = rr.solve_rrm_2d(D, r, space)
+    opt = res.rank_regret
+    form = _Form.of(D, space)
+    for K in (opt, 2 * opt + 1, D.n):
+        band = _band(form, K)
+        M_rank, chains, _ = _sweep(form, band, r)
+        assert _verified_chain(form, band, M_rank, chains, r - 1) == \
+            (res.selected_indices, opt)
+
+
+def test_band_k_never_exceeds_n():
+    # the band at K = 1 bounds the optimum below by 5, and twice that
+    # asks for a 10-band of 9 lines
+    D = rr.Dataset([[0.621, 0.628], [0.034, 0.069], [0.958, 0.075], [0.556, 0.777],
+                    [0.522, 0.894], [0.508, 1.0], [1.0, 0.267], [0.284, 0.924],
+                    [0.669, 0.591]], normalized=False)
+    res = rr.solve_rrm_2d(D, 1)
+    assert (res.selected_indices, res.rank_regret) == ((9,), 6)
+    assert res.solver_params["band_k"] == res.solver_params["band_size"] == D.n
+
+
 def _fraction_profiles(values, rows, interval):
     """Rank of each of ``rows`` at every crossing of their lines inside
     the interval, at its ends and at the midpoint between consecutive
