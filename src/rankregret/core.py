@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -242,37 +242,47 @@ class RestrictedSpace:
 
         Membership of a vector is scale invariant, so any positive scaling
         of a ray is equivalent; the max-1 scaling keeps rays of rational
-        constraint systems exact.
+        constraint systems exact.  The rays are computed once per
+        (halfspaces, d) and returned read-only.
         """
-        if self.is_full:
-            if d is None:
+        if d is None:
+            if self.is_full:
                 raise ValueError("dimension required for the full space")
-            return np.eye(d)
-        d = len(self.halfspaces[0]) if d is None else d
-        A = np.vstack([np.eye(d), self.halfspace_matrix(d)])
-        rays: list[np.ndarray] = []
-        keys: set[tuple] = set()
-        for rows in itertools.combinations(range(A.shape[0]), d - 1):
-            sub = A[list(rows)]
-            if np.linalg.matrix_rank(sub, tol=1e-10) != d - 1:
-                continue
-            # one-dimensional null space of the active constraints
-            _, _, vh = np.linalg.svd(sub)
-            v = vh[-1]
-            for cand in (v, -v):
-                if (A @ cand >= -1e-10).all():
-                    ray = np.where(np.abs(cand) < 1e-12, 0.0, cand)
-                    peak = ray.max()
-                    if peak <= 0:
-                        continue
-                    # rounding after max-1 scaling keeps rational cones exact
-                    ray = np.round(ray / peak, 12)
-                    key = tuple(ray)
-                    if key not in keys:
-                        keys.add(key)
-                        rays.append(ray)
-        rays.sort(key=lambda r: tuple(r))
-        return np.asarray(rays).reshape(len(rays), d)
+            d = len(self.halfspaces[0])
+        self.halfspace_matrix(d)  # rejects a d that does not match
+        return _extreme_rays(self.halfspaces, d)
+
+
+@lru_cache(maxsize=64)
+def _extreme_rays(halfspaces: tuple[tuple[float, ...], ...], d: int) -> np.ndarray:
+    """``RestrictedSpace.extreme_rays`` of the cone of these halfspaces in
+    dimension d, read-only."""
+    if not halfspaces:
+        return _as_readonly(np.eye(d))
+    A = np.vstack([np.eye(d), np.asarray(halfspaces, dtype=float).reshape(-1, d)])
+    rays: list[np.ndarray] = []
+    keys: set[tuple] = set()
+    for rows in itertools.combinations(range(A.shape[0]), d - 1):
+        sub = A[list(rows)]
+        if np.linalg.matrix_rank(sub, tol=1e-10) != d - 1:
+            continue
+        # one-dimensional null space of the active constraints
+        _, _, vh = np.linalg.svd(sub)
+        v = vh[-1]
+        for cand in (v, -v):
+            if (A @ cand >= -1e-10).all():
+                ray = np.where(np.abs(cand) < 1e-12, 0.0, cand)
+                peak = ray.max()
+                if peak <= 0:
+                    continue
+                # rounding after max-1 scaling keeps rational cones exact
+                ray = np.round(ray / peak, 12)
+                key = tuple(ray)
+                if key not in keys:
+                    keys.add(key)
+                    rays.append(ray)
+    rays.sort(key=lambda r: tuple(r))
+    return _as_readonly(np.asarray(rays).reshape(len(rays), d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,20 +495,55 @@ def _set_best(D: Dataset, V: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
     return set_scores[np.arange(V.shape[0]), at], rows[at]
 
 
-def _cell_candidates(V: np.ndarray, X: np.ndarray, floor, keep=None):
+def _cell_pivots(groups: list[np.ndarray], pick: np.ndarray) -> np.ndarray:
+    """Per cell, given by its utility rows ``groups``, the tuple of
+    ``pick`` (one 0-based tuple per row) that most of its rows pick; ties
+    go to the lower tuple."""
+    cell = np.repeat(np.arange(len(groups)), [ids.size for ids in groups])
+    base = int(pick.max()) + 1
+    keys, counts = np.unique(cell * base + pick[np.concatenate(groups)], return_counts=True)
+    # keys ascend by (cell, tuple) and lexsort is stable: within a cell the
+    # most picked tuple comes first, the lower one among equal counts
+    by_count = np.lexsort((-counts, keys // base))
+    head = by_count[np.flatnonzero(np.diff(keys[by_count] // base, prepend=-1))]
+    return keys[head] % base
+
+
+def _cell_candidates(V: np.ndarray, X: np.ndarray, keep=None, pick=None, K=None):
     """Yield ``(ids, cand)`` for every direction cell (``_direction_cells``)
     of the utility rows of V: the cell's rows ``ids`` and the sorted
-    0-based tuples ``cand`` of X that can score at or above its floor.
+    0-based tuples ``cand`` of X that the cell may need.
 
-    Over a cell with componentwise max hi and min lo, a tuple t scores at
-    least lo . t+ - hi . t- and at most hi . t+ - lo . t- at every row.
-    ``floor(groups, lower)`` returns the floors of a block of cells, where
-    ``groups`` are their rows and ``lower()`` their tuples' lower bounds.
-    A tuple whose upper bound stays below the floor by more than the
-    rounding of both bounds and of the scores (4 gamma_{2d+4} times the
-    cell's reach) scores below it at every row of the cell, canonically
-    and by key, and is dropped.  The rows ``keep`` are always kept.  Bounds
-    are computed for blocks of at most ``_BLOCK_CELLS``.
+    Over a cell with componentwise max hi and min lo, every row u has
+    u . a <= hi . a+ - lo . a- for any vector a (the box bound), and
+    u . t >= lo . t+ - hi . t-.  Two tests drop a tuple t:
+
+    - Pivot.  ``keep`` are the sorted 0-based tuples a caller measures its
+      rows against: at a row it needs no tuple that scores below every
+      tuple of ``keep`` there.  ``pick`` holds the best tuple of ``keep``
+      at each row, and a cell's pivot p is the one most of its rows pick
+      (``_cell_pivots``; any tuple of ``keep`` is valid).  t is dropped
+      when the box bound of t - p is below -slack: t then scores strictly
+      below p at every row of the cell, canonically and by key.
+    - Floor.  With K given, t is dropped when its box bound is below the
+      cell's K-th largest lower bound less the slack: K tuples then
+      outscore it at every row of the cell, so it is in no row's top K.
+
+    Slack.  Let M_j = max_t |t_j|, m_j = max(|hi_j|, |lo_j|) and
+    reach = sum_j m_j M_j, and let u be any row of the cell.  The pivot
+    test forms fl(t - p), whose entries are within the unit roundoff of
+    t - p, bounded by 2 M_j: u . fl(t - p) is within 2 u reach of
+    u . (t - p).  Its 2d-term bound is within 2 gamma_{2d} (1 + u) reach
+    of its exact value.  A canonical score or a key of t or p is within
+    gamma_d sum_j |u_j t_j| of u . t, so the two scores add
+    2 gamma_d reach.  The sum is at most 4 gamma_{2d+1} reach.  The floor
+    test has two 2d-term bounds and two scores, at most 4 gamma_{2d}
+    reach.  The slack 4 gamma_{2d+4} reach also absorbs its own rounding
+    and the comparison, and the last term absorbs underflow.
+
+    The tuples of ``keep`` are always yielded.  Cells are bounded pivot by
+    pivot, so each pivot's signed differences are formed once, in blocks
+    of at most ``_BLOCK_CELLS // 8`` bounds.
     """
     n, d = X.shape
     if not V.shape[0]:
@@ -511,33 +556,48 @@ def _cell_candidates(V: np.ndarray, X: np.ndarray, floor, keep=None):
     lo = np.minimum.reduceat(V[order], starts)
     reach = np.maximum(np.abs(hi), np.abs(lo)) @ np.abs(X).max(axis=0)
     slack = 4 * _gamma(2 * d + 4) * reach + 8 * d * np.finfo(float).smallest_subnormal
-    upper, lower = np.hstack([hi, -lo]), np.hstack([lo, -hi])
-    signed_T = np.vstack([np.maximum(X, 0.0).T, np.maximum(-X, 0.0).T])
-    for sl, bound in _score_blocks(lambda sl: upper[sl] @ signed_T, len(groups), n):
-        ok = bound >= (floor(groups[sl], lambda: lower[sl] @ signed_T) - slack[sl])[:, None]
-        if keep is not None:
-            ok[:, keep] = True
-        for ids, row in zip(groups[sl], ok):
-            yield ids, np.flatnonzero(row)
+    upper = np.hstack([hi, -lo])
+
+    def signed_T(A):
+        return np.vstack([np.maximum(A, 0.0).T, np.maximum(-A, 0.0).T])
+
+    if K is not None:
+        lower, X_T = np.hstack([lo, -hi]), signed_T(X)
+    pivots = np.full(len(groups), -1) if pick is None else _cell_pivots(groups, pick)
+    by_pivot = np.argsort(pivots, kind="stable")
+    step = max(1, _BLOCK_CELLS // 8 // n)
+    for cells in np.split(by_pivot, np.flatnonzero(np.diff(pivots[by_pivot])) + 1):
+        p = pivots[cells[0]]
+        diff_T = None if p < 0 else signed_T(X - X[p])
+        for at in range(0, cells.size, step):
+            c = cells[at:at + step]
+            ok = np.ones((c.size, n), dtype=bool)
+            if diff_T is not None:
+                ok &= upper[c] @ diff_T >= -slack[c, None]
+            if K is not None:
+                low = lower[c] @ X_T
+                low.partition(n - K, axis=1)
+                ok &= upper[c] @ X_T >= (low[:, n - K] - slack[c])[:, None]
+            if keep is not None:
+                ok[:, keep] = True
+            for i, row in zip(c, ok):
+                yield groups[i], np.flatnonzero(row)
 
 
-def _candidate_blocks(D: Dataset, V: np.ndarray, best: np.ndarray, rows: np.ndarray):
+def _candidate_blocks(D: Dataset, V: np.ndarray, rows: np.ndarray, pick: np.ndarray):
     """Yield ``(ids, cand, keys)``: utility rows ``ids`` of V, the sorted
-    0-based tuples ``cand`` that can reach those rows' set-best score
-    ``best``, and their BLAS keys ``V[ids] @ X[cand].T``.
+    0-based tuples ``cand`` that can reach the best score of the set
+    ``rows`` at those rows, and their BLAS keys ``V[ids] @ X[cand].T``.
 
-    The candidates are those of ``_cell_candidates`` with each cell's
-    floor at its lowest set-best, so a dropped tuple scores below the
-    set's best member at every row of its cell; the rows of the set are
-    always kept.  Each yielded block holds at most ``_BLOCK_CELLS`` keys
-    (one row when the candidates alone exceed it).
+    The candidates are those of ``_cell_candidates`` against the set, with
+    ``pick`` each row's best member: a dropped tuple scores strictly below
+    its cell's pivot member, so below the set's best, at every row of the
+    cell, canonically and by key.  The rows of the set are always kept.
+    Each yielded block holds at most ``_BLOCK_CELLS`` keys (one row when
+    the candidates alone exceed it).
     """
     X = D.values
-
-    def lowest_best(groups, lower):
-        return np.array([best[ids].min() for ids in groups])
-
-    for ids, cand in _cell_candidates(V, X, lowest_best, rows):
+    for ids, cand in _cell_candidates(V, X, rows, pick):
         XcT = X[cand].T
         step = max(1, _BLOCK_CELLS // cand.size)
         for at in range(0, ids.size, step):
@@ -551,18 +611,19 @@ def min_ranks_for_vectors(D: Dataset, vectors: np.ndarray, S: Iterable[int]) -> 
     Ranks follow the canonical score.  Keys farther than ``_key_slack``
     above the set's best canonical score outrank it; only keys within
     that slack of it are re-scored canonically and ranked under the index
-    tie rule.  Tuples that cannot reach the set's best score anywhere in
-    a direction cell are never keyed (``_candidate_blocks`` over the cell
-    bounds of ``_cell_candidates``, which the HD order prefix shares).  Peak
-    working memory is O(``_BLOCK_CELLS``) keys plus the set's N x |S|
-    canonical scores and the output.
+    tie rule.  A tuple that outranks S at a row scores at least every
+    member there, so tuples that score strictly below a direction cell's
+    pivot member at all of its rows are never keyed (``_candidate_blocks``
+    over the cell bounds of ``_cell_candidates``, which the HD order
+    prefix shares).  Peak working memory is O(``_BLOCK_CELLS``) keys plus
+    the set's N x |S| canonical scores and the output.
     """
     rows = _set_rows(S, D.n)
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     best, pick = _set_best(D, V, rows)
     slack = _key_slack(V, D.values)
     out = np.empty(V.shape[0], dtype=np.int64)
-    for ids, cand, keys in _candidate_blocks(D, V, best, rows):
+    for ids, cand, keys in _candidate_blocks(D, V, rows, pick):
         b, w = best[ids, None], slack[ids, None]
         above = np.count_nonzero(keys > b + w, axis=1)
         out[ids] = 1 + above

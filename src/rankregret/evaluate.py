@@ -71,18 +71,19 @@ def max_regret_ratio(S, D: Dataset, samples: int, seed: int,
 
     Directions where the dataset's best score is not positive carry no
     ratio and are skipped with a warning.  Scores are BLAS keys over the
-    candidate blocks of ``core._candidate_blocks``: the dataset's
-    top-scoring tuple is always a candidate.  Peak working memory is
+    candidate blocks of ``core._candidate_blocks``.  A dropped tuple's key
+    is below its cell's pivot member's there, so the tuple with the top
+    key is always a candidate.  Peak working memory is
     O(``_BLOCK_CELLS``) keys plus the samples.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rows = _set_rows(S, D.n)
     V = sample_sphere(D.d, samples, seed, space)
-    best, _ = _set_best(D, V, rows)
+    _, pick = _set_best(D, V, rows)
     worst = 0.0
     skipped = 0
-    for _, cand, keys in _candidate_blocks(D, V, best, rows):
+    for _, cand, keys in _candidate_blocks(D, V, rows, pick):
         top = keys.max(axis=1)
         ok = top > 0
         skipped += int((~ok).sum())

@@ -6,10 +6,12 @@ vector within a provable distance) united with Monte-Carlo samples
 (coverage of the finite set transfers to the sphere with high
 probability).  Selecting tuples so that every finite vector sees a
 top-k member is a set-cover instance solved greedily; every top-k comes
-from one descending order prefix, built per direction cell over the
-tuples that can reach the cell's top K (threshold-algorithm bounds) and
-exact up to each vector's first basis tuple: beyond it the cover never
-reads, as a vector with a basis tuple in its top-k is already covered.  For
+from one descending order prefix, exact up to each vector's first basis
+tuple: beyond it the cover never reads, as a vector with a basis tuple in
+its top-k is already covered.  The prefix is built per direction cell
+over the tuples that can reach the cell's top K and can outscore one
+basis tuple, the cell's pivot, at some row (threshold-algorithm bounds,
+``core._cell_candidates``).  For
 a size budget r, a doubling-plus-binary search finds the smallest
 threshold k whose cover fits r.  For a threshold k, the greedy cover at k
 bounds the size, and the same search, capped at k, then tries each
@@ -267,23 +269,24 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
     are filler; a row with no stop tuple in its first K places is exact
     in all of them.
 
-    Per direction cell only the tuples of ``core._cell_candidates`` that
-    reach the cell's floor are keyed.  The floor is the larger of the
-    cell's K-th largest lower bound (K tuples score at least that at every
-    row of the cell, so no other tuple is in any row's top K) and its
-    lowest best stop-tuple score (every tuple before a row's first stop
-    tuple scores at least that).  The stop tuples are always keyed, and a
-    cell with fewer than K candidates sorts all of them.  Each block of
-    keys is partitioned to its top K and only that prefix is sorted.  Keys
-    farther apart than twice ``core._key_slack`` order as their canonical
-    scores do.  A row with two adjacent prefix keys closer than that is
-    re-sorted stably on canonical scores from index order; a row with a
-    key outside the prefix that close to its K-th key, where the partition
-    may have chosen the wrong tuples, is sorted stably in full on
-    canonical scores.  The candidates are sorted, so positions among them
-    map back to tuples with the index tie rule intact.  Peak working
-    memory is O(``_BLOCK_CELLS``) cells whatever K is, plus the N x K
-    output.
+    Per direction cell only the tuples that ``core._cell_candidates``
+    keeps are keyed.  Its floor test drops the tuples below the cell's
+    K-th largest lower bound: K tuples score at least that at every row
+    of the cell, so no other tuple is in any row's top K.  Its pivot test
+    drops the tuples that score strictly below one stop tuple, the pivot,
+    at every row of the cell: a tuple before a row's first stop tuple
+    scores at least that row's best stop tuple, so at least the pivot.
+    The stop tuples are always keyed, and a cell with fewer than K
+    candidates sorts all of them.  Each block of keys is partitioned at
+    its (K+1)-th key and only the top K are sorted.  Keys farther apart
+    than twice ``core._key_slack`` order as their canonical scores do.  A
+    row with two adjacent prefix keys closer than that is re-sorted stably
+    on canonical scores from index order; a row whose (K+1)-th key is that
+    close to its K-th key, where the partition may have chosen the wrong
+    tuples, is sorted stably in full on canonical scores.  The candidates
+    are sorted, so positions among them map back to tuples with the index
+    tie rule intact.  Peak working memory is O(``_BLOCK_CELLS``) cells
+    whatever K is, plus the N x K output.
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     if not 1 <= K <= D.n:
@@ -291,18 +294,9 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
     X = D.values
     near = 2 * _key_slack(V, X)
     keep = _set_rows(stop, D.n) if len(stop) else None
-    stop_best = None if keep is None else _set_best(D, V, keep)[0]
-
-    def floor(groups, lower):
-        low = lower()
-        low.partition(D.n - K, axis=1)
-        kth = low[:, D.n - K]
-        if stop_best is None:
-            return kth
-        return np.maximum(kth, [stop_best[ids].min() for ids in groups])
-
+    pick = None if keep is None else _set_best(D, V, keep)[1]
     out = np.empty((V.shape[0], K), dtype=np.int32)
-    for ids, cand in _cell_candidates(V, X, floor, keep):
+    for ids, cand in _cell_candidates(V, X, keep, pick, K):
         Xc = X[cand]
         Kc = min(K, cand.size)
 
@@ -317,8 +311,16 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
         # its thresholds go.
         for sl, neg in _score_blocks(negated_keys, ids.size, cand.size + 3 * Kc):
             at = ids[sl]
-            # int32 indices keep the working set small when K is close to n
-            top = np.argpartition(neg, Kc - 1, axis=1)[:, :Kc].astype(np.int32)
+            if Kc < cand.size:
+                # column Kc of the partition holds the (Kc+1)-th key; int32
+                # indices keep the working set small when K is close to n
+                part = np.argpartition(neg, Kc, axis=1)
+                after = _take_rows(neg, part[:, Kc:Kc + 1])[:, 0]
+                top = part[:, :Kc].astype(np.int32)
+            else:
+                # every candidate is in the prefix and none can spill
+                after = np.full(neg.shape[0], np.inf)
+                top = np.broadcast_to(np.arange(Kc, dtype=np.int32), neg.shape)
             top_neg = _take_rows(neg, top)
             pos = np.argsort(top_neg, axis=1)
             rows = _take_rows(top, pos)
@@ -329,8 +331,7 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
                 by_index = np.sort(top[close], axis=1)
                 score = _canonical_at(V, Xc, at[close, None], by_index)
                 rows[close] = _take_rows(by_index, np.argsort(-score, axis=1, kind="stable"))
-            spill = np.flatnonzero(np.count_nonzero(neg <= sorted_neg[:, Kc - 1:] + gap,
-                                                    axis=1) > Kc)
+            spill = np.flatnonzero(after <= sorted_neg[:, Kc - 1] + gap[:, 0])
             if spill.size:
                 score = _canonical(V[at[spill]], Xc)
                 rows[spill] = np.argsort(-score, axis=1, kind="stable")[:, :Kc]
@@ -545,7 +546,7 @@ def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...]) -> RegretResu
     # its first verified - 1 places is where Q's rank is verified.  Every
     # cover holds the basis, so a vector whose first basis tuple comes
     # that early is rightly counted as reached, filler or not
-    early = np.isin(inst.order[:, :verified - 1], np.asarray(Q) - 1).any(axis=1)
+    early = _tuple_mask(Q, D.n)[inst.order[:, :verified - 1]].any(axis=1)
     witness = int(np.argmin(early))
     if early[witness]:
         raise AssertionError(f"no vector of the order prefix reaches rank {verified}")

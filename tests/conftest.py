@@ -87,6 +87,14 @@ def hd_tables(d: int):
     return rows.flatmap(grow).map(lambda r: np.asarray(r, dtype=float))
 
 
+def signed_tables(d: int):
+    """``hd_tables`` shifted and with some columns negated: un-normalized
+    tables with negative entries."""
+    shift = st.sampled_from([0.0, 0.5, 1.0])
+    signs = st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d)
+    return st.tuples(hd_tables(d), shift, signs).map(lambda a: (a[0] - a[1]) * np.asarray(a[2]))
+
+
 def utility_rows(d: int):
     """Stacks of polar-grid vectors (with their cos(pi/2) = 6.1e-17
     components), unit-sphere samples, integer vectors and vectors with
@@ -119,3 +127,23 @@ def kernel_layout(cells: int, labels):
         else:
             with mock.patch.object(core, "_direction_cells", lambda V, n: labels):
                 yield
+
+
+# Seeds for ``random_pivots``; None keeps the real pivots.
+pivot_seeds = st.one_of(st.none(), st.integers(0, 2 ** 32 - 1))
+
+
+@contextmanager
+def random_pivots(members, seed):
+    """Unless seed is None, patch each direction cell's pivot
+    (``core._cell_pivots``) to a random tuple of the 0-based ``members``:
+    any member is a valid pivot, so the kernels must return the same
+    answers."""
+    if seed is None:
+        yield
+        return
+    rng = np.random.default_rng(seed)
+    members = np.asarray(members)
+    with mock.patch.object(core, "_cell_pivots",
+                           lambda groups, pick: rng.choice(members, len(groups))):
+        yield

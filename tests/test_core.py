@@ -10,7 +10,7 @@ from rankregret import core
 from rankregret.core import NORMALIZATION_TOL
 
 from conftest import (block_budgets, cell_labels, grid_tables, hd_tables, kernel_layout,
-                      random_dataset, utility_rows)
+                      pivot_seeds, random_dataset, random_pivots, signed_tables, utility_rows)
 
 
 class TestDataset:
@@ -319,18 +319,55 @@ def test_min_rank_kernel_matches_sort_reference_2d(data, cells):
 
 
 # Near ties: BLAS keys may order these tables unlike the canonical score
-# (any summation order, fused or not); the kernels must rank by the score.
+# (any summation order, fused or not); the kernels must rank by the score,
+# whichever member bounds each direction cell.
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), cells=block_budgets)
 def test_min_ranks_match_canonical_brute_force(data, cells):
     d = data.draw(st.integers(2, 5))
-    D = rr.Dataset(data.draw(hd_tables(d)), normalized=False)
+    D = rr.Dataset(data.draw(signed_tables(d)), normalized=False)
     V = data.draw(utility_rows(d))
     S = data.draw(st.sets(st.integers(1, D.n), min_size=1, max_size=4))
-    with kernel_layout(cells, data.draw(cell_labels(len(V)))):
-        got = rr.min_ranks_for_vectors(D, V, S)
     rows = np.asarray(sorted(S)) - 1
+    with kernel_layout(cells, data.draw(cell_labels(len(V)))), \
+            random_pivots(rows, data.draw(pivot_seeds)):
+        got = rr.min_ranks_for_vectors(D, V, S)
     assert got.tolist() == core._min_rank_rows(core._canonical(V, D.values), rows).tolist()
+
+
+# Every tuple the pivot test drops scores strictly below the cell's pivot
+# at every row of the cell, canonically; the pivot is a tuple of keep and
+# the tuples of keep are always yielded.
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), cells=block_budgets)
+def test_cell_candidates_drop_only_tuples_below_the_pivot(data, cells):
+    d = data.draw(st.integers(2, 5))
+    X = data.draw(signed_tables(d))
+    V = data.draw(utility_rows(d))
+    keep = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(X) - 1), min_size=1,
+                                               max_size=4))))
+    scores = core._canonical(V, X)
+    pick = keep[np.argmax(scores[:, keep], axis=1)]
+    pivot_of = np.full(len(V), -1)
+    real = core._cell_pivots
+
+    def recording(groups, pick):
+        pivots = real(groups, pick)
+        for ids, p in zip(groups, pivots):
+            pivot_of[ids] = p
+        return pivots
+
+    with kernel_layout(cells, data.draw(cell_labels(len(V)))), \
+            mock.patch.object(core, "_cell_pivots", recording):
+        yielded = list(core._cell_candidates(V, X, keep, pick))
+    assert np.array_equal(np.sort(np.concatenate([ids for ids, _ in yielded])),
+                          np.arange(len(V)))
+    assert np.isin(pivot_of, keep).all()
+    for ids, cand in yielded:
+        assert np.isin(keep, cand).all() and (np.diff(cand) > 0).all()
+        dropped = np.setdiff1d(np.arange(len(X)), cand)
+        below = scores[np.ix_(ids, dropped)] < scores[ids, pivot_of[ids]][:, None]
+        assert below.all()
 
 
 @settings(max_examples=80, deadline=None)

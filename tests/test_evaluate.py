@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import rankregret as rr
 
-from conftest import block_budgets, cell_labels, hd_tables, kernel_layout, random_dataset
+from conftest import (block_budgets, cell_labels, hd_tables, kernel_layout, pivot_seeds,
+                      random_dataset, random_pivots)
 
 
 class TestEstimateRankRegret:
@@ -102,16 +103,19 @@ class TestMaxRegretRatio:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), cells=block_budgets)
 def test_max_regret_ratio_matches_full_scores(data, cells):
-    # the top-scoring tuple is always a candidate, so pruning leaves the
-    # ratio of a full scoring pass, up to the rounding of its keys
+    # the top-scoring tuple is always a candidate, whichever member bounds
+    # each cell, so pruning leaves the ratio of a full scoring pass, up to
+    # the rounding of its keys
     d = data.draw(st.integers(2, 5))
     table = data.draw(hd_tables(d).filter(lambda t: t.max() > 0))
     D = rr.Dataset(table, normalized=False)
     S = data.draw(st.sets(st.integers(1, D.n), min_size=1, max_size=3))
+    rows = np.asarray(sorted(S)) - 1
     samples, seed = data.draw(st.integers(1, 60)), data.draw(st.integers(0, 99))
-    with kernel_layout(cells, data.draw(cell_labels(samples))):
+    with kernel_layout(cells, data.draw(cell_labels(samples))), \
+            random_pivots(rows, data.draw(pivot_seeds)):
         got = rr.max_regret_ratio(S, D, samples, seed)
     sc = rr.sample_sphere(d, samples, seed) @ D.values.T
     top = sc.max(axis=1)
-    want = ((top - sc[:, np.asarray(sorted(S)) - 1].max(axis=1)) / top).max()
+    want = ((top - sc[:, rows].max(axis=1)) / top).max()
     assert abs(got - want) <= 1e-12

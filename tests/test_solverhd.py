@@ -12,7 +12,7 @@ from rankregret.datagen import GenSpec, generate
 from rankregret.solverhd import HdParams, NetBoundParams, _descending_order, net_bound_value
 
 from conftest import (block_budgets, cell_labels, grid_tables, hd_tables, kernel_layout,
-                      random_dataset, traced_peak, utility_rows)
+                      pivot_seeds, random_dataset, random_pivots, traced_peak, utility_rows)
 
 
 class TestPolarGrid:
@@ -144,7 +144,9 @@ def test_order_prefix_is_exact_up_to_the_first_stop_tuple(data, cells):
         min_size=1, max_size=8)), float)
     want = np.argsort(-(V @ X.T), axis=1, kind="stable")
     in_stop = np.isin(np.arange(D.n), np.asarray(stop) - 1)
-    with kernel_layout(cells, data.draw(cell_labels(len(V)))):
+    # any stop tuple is a valid pivot for the cells
+    with kernel_layout(cells, data.draw(cell_labels(len(V)))), \
+            random_pivots(np.asarray(stop) - 1, data.draw(pivot_seeds)):
         for K in range(1, D.n + 1):
             got = _descending_order(D, V, K, stop)
             assert got.shape == (len(V), K) and ((0 <= got) & (got < D.n)).all()
@@ -380,6 +382,26 @@ class TestSolveRrmHd:
         reached = np.isin(exact, np.asarray(D.basis_indices) - 1).any(axis=1)
         assert np.array_equal(again, V[~reached])
         assert len(again) == 3382
+
+    def test_rank_kernel_keys_a_small_share_of_the_vectors_by_tuples(self, monkeypatch):
+        # the same d = 5 instance: verifying the solved set keys 0.048 of
+        # N x n, where a floor at each cell's lowest set-best score kept 0.47
+        D = generate(GenSpec("independent", 1000, 5, seed=2692315475))
+        params = HdParams(r=6, seed=1775468347)
+        res = rr.solve_rrm_hd(D, params)
+        disc = rr.build_discretization(5, params.gamma, res.solver_params["m"], params.seed)
+        real = core._cell_candidates
+        keyed = []
+
+        def counting(V, X, *args):
+            for ids, cand in real(V, X, *args):
+                keyed.append(ids.size * cand.size)
+                yield ids, cand
+
+        monkeypatch.setattr(core, "_cell_candidates", counting)
+        value = rr.discrete_rank_regret(res.selected_indices, D, disc)
+        assert value == res.solver_params["discrete_rank_regret"]
+        assert sum(keyed) < 0.15 * disc.size * D.n
 
     def test_memory_and_scale(self):
         # the default m here is about 14 400 vectors; a full order matrix
