@@ -67,6 +67,13 @@ def _emit_json(payload: dict, out_path) -> None:
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
 
 
+def _int(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{flag} expects integers, got {text!r}") from None
+
+
 def _parse_index_set(text: str, n: int) -> list[int]:
     """Accepts "1,4,7" and ranges like "1..7"."""
     out: set[int] = set()
@@ -74,9 +81,9 @@ def _parse_index_set(text: str, n: int) -> list[int]:
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..", 1)
-            out.update(range(int(lo), int(hi) + 1))
+            out.update(range(_int(lo, "--set"), _int(hi, "--set") + 1))
         elif part:
-            out.add(int(part))
+            out.add(_int(part, "--set"))
     if not out:
         raise _UsageError("--set resolved to an empty index set")
     if min(out) < 1 or max(out) > n:
@@ -89,7 +96,8 @@ def _add_dataset_args(p) -> None:
     p.add_argument("--pre-normalized", action="store_true",
                    help="values are already in [0,1]; skip min-max normalization")
     p.add_argument("--negate", nargs="*", default=None,
-                   help="smaller-is-better columns to flip before normalization")
+                   help="header names of smaller-is-better columns to flip "
+                        "before normalization")
     p.add_argument("--restrict", default=None,
                    help='JSON file {"halfspaces": [[...], ...]} with h.u >= 0 rows')
 
@@ -252,7 +260,7 @@ def cmd_eval(args) -> int:
     unknown = set(metrics) - {"rank", "ratk", "regret-ratio"}
     if unknown:
         raise _UsageError(f"unknown metrics: {sorted(unknown)}")
-    ks = [int(x) for x in args.ks.split(",")] if args.ks else []
+    ks = [_int(x, "--ks") for x in args.ks.split(",")] if args.ks else []
     payload: dict = {
         "set": S,
         "config": {"samples": args.samples, "seed": seed, "metrics": metrics,

@@ -112,6 +112,8 @@ def _load_csv_stream(fh, normalize: bool, negate_columns, label: str) -> Dataset
         raise ValueError(f"{label}: no data rows")
     values = np.asarray(rows, dtype=float)
     for spec in negate_columns:
+        if isinstance(spec, str) and spec not in names:
+            raise ValueError(f"{label}: negate column {spec!r} is not in the header")
         col = names.index(spec) if isinstance(spec, str) else int(spec) - 1
         if not 0 <= col < width:
             raise ValueError(f"{label}: negate column {spec!r} out of range")

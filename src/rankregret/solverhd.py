@@ -237,12 +237,10 @@ class Discretization:
 
 
 def build_discretization(d: int, gamma: int, m: int, seed: int,
-                         space: RestrictedSpace | None = None,
-                         direction_sampler=None) -> Discretization:
+                         space: RestrictedSpace | None = None) -> Discretization:
     """Grid (filtered for the space, duplicates removed) plus m samples."""
     grid = dedup_vectors(filter_grid(polar_grid(d, gamma), space))
-    samples = (sample_sphere(d, m, seed, space, direction_sampler)
-               if m > 0 else np.empty((0, d)))
+    samples = sample_sphere(d, m, seed, space) if m > 0 else np.empty((0, d))
     vectors = np.vstack([grid, samples]) if samples.size else grid
     return Discretization(vectors, grid, samples, gamma, m, seed)
 
@@ -365,40 +363,9 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a.reshape(-1)[idx + a.shape[1] * np.arange(a.shape[0])[:, None]]
 
 
-def _uncovered_top_k(D: Dataset, k: int, basis_indices, disc: Discretization,
-                     order: np.ndarray | None,
-                     first_basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors whose top-k holds no basis tuple, and those top-k rows.
-
-    Row i of the returned matrix holds the 0-based tuples that cover
-    vector ``uncovered_ids[i]``: its entries are the (tuple, vector)
-    pairs of the cover instance.  ``order`` is a descending order prefix
-    of every vector (``_descending_order``) at least k wide, exact up to
-    each row's first basis tuple.  ``first_basis`` holds each row's first
-    basis column in it (``_first_stop``); without it the first k columns
-    are searched.
-    """
-    if not 1 <= k <= D.n:
-        raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
-    if order is None:
-        order = _descending_order(D, disc.vectors, k, basis_indices)
-    elif np.ndim(order) != 2 or order.shape[0] != disc.size or order.shape[1] < k:
-        raise ValueError(f"order must have {disc.size} rows and at least k={k} "
-                         f"columns, got shape {np.shape(order)}")
-    if first_basis is None:
-        first_basis = _first_stop(order[:, :k], _tuple_mask(basis_indices, D.n))
-    uncovered_ids = np.flatnonzero(first_basis >= k)
-    return uncovered_ids, order[uncovered_ids, :k]
-
-
-def build_cover(D: Dataset, k: int, basis_indices, disc: Discretization,
-                order: np.ndarray | None = None) -> CoverStructure:
-    """Top-k membership of every vector, reduced by the basis tuples.
-
-    ``order`` optionally supplies the vectors' descending order prefix,
-    at least k columns wide; without it the prefix is computed here.
-    """
-    uncovered_ids, rows = _uncovered_top_k(D, k, basis_indices, disc, order)
+def build_cover(D: Dataset, k: int, basis_indices, disc: Discretization) -> CoverStructure:
+    """Top-k membership of every vector, reduced by the basis tuples."""
+    uncovered_ids, rows = _HdInstance(D, disc, basis_indices, cap=k).uncovered(k)
     cover_sets: dict[int, np.ndarray] = {}
     if uncovered_ids.size:
         flat_t = rows.ravel()
@@ -413,29 +380,17 @@ def build_cover(D: Dataset, k: int, basis_indices, disc: Discretization,
     return CoverStructure(uncovered_ids, cover_sets, k)
 
 
-def greedy_min_superset(D: Dataset, k: int, basis_indices, disc: Discretization,
-                        order: np.ndarray | None = None) -> tuple[int, ...]:
+def greedy_min_superset(D: Dataset, k: int, basis_indices,
+                        disc: Discretization) -> tuple[int, ...]:
     """Superset of the basis covering every vector at threshold k.
 
     Classic greedy set cover: repeatedly take the tuple covering the most
     still-uncovered vectors (ties to the lowest index), so the extra
     tuples are within a 1+ln|uncovered| factor of the minimum.  Each pick
     counts the (tuple, vector) pairs of the uncovered vectors at once and
-    then drops the pairs of the vectors it covered.  ``order`` is as in
-    ``build_cover``.
+    then drops the pairs of the vectors it covered.
     """
-    return _greedy(_uncovered_top_k(D, k, basis_indices, disc, order)[1], basis_indices)
-
-
-def _greedy(rows: np.ndarray, basis_indices) -> tuple[int, ...]:
-    """The basis plus the greedy picks covering every row of ``rows``, the
-    top-k rows of the uncovered vectors (``_uncovered_top_k``)."""
-    chosen: list[int] = []
-    while rows.shape[0]:
-        best = int(np.argmax(np.bincount(rows.ravel())))
-        chosen.append(best + 1)
-        rows = rows[~(rows == best).any(axis=1)]
-    return tuple(sorted(set(basis_indices) | set(chosen)))
+    return _HdInstance(D, disc, basis_indices, cap=k).cover(k)
 
 
 def discrete_rank_regret(S, D: Dataset, disc: Discretization) -> int:
@@ -445,8 +400,8 @@ def discrete_rank_regret(S, D: Dataset, disc: Discretization) -> int:
 
 
 class _HdInstance:
-    """One HD problem prepared for many cover calls: the dataset, its
-    basis, the discretization with its sample size m, a descending order
+    """One cover problem prepared for many thresholds: the dataset, the
+    discretization, the 1-based basis (stop) tuples, a descending order
     prefix of every discretization vector, exact up to the vector's first
     basis tuple, with that tuple's column, and the greedy cover at every
     threshold asked for so far.
@@ -455,40 +410,53 @@ class _HdInstance:
     starts, so the cover never reads its order beyond that tuple.  The
     prefix is built on first use
     ``min(cap, max(k, min(64, ceil(n / log2(n + 1)))))`` wide, where cap
-    is the largest threshold the caller will ask for (n by default).  A
-    later threshold beyond the width rebuilds, at least twice as wide,
-    only the rows whose prefix holds no basis tuple yet; every other row
-    keeps its columns and is padded with filler.
+    is the largest threshold the caller will ask for.  A later threshold
+    beyond the width rebuilds, at least twice as wide, only the rows whose
+    prefix holds no basis tuple yet; every other row keeps its columns and
+    is padded with filler.
     """
 
-    def __init__(self, D: Dataset, params: HdParams, space, direction_sampler,
-                 cap: int | None = None):
+    def __init__(self, D: Dataset, disc: Discretization, stop_indices, cap: int):
+        self.D = D
+        self.disc = disc
+        self.basis = stop_indices
+        self.cap = cap
+        self.order: np.ndarray | None = None
+        self.first_basis: np.ndarray | None = None
+        self.covers: dict[int, tuple[int, ...]] = {}
+
+    @classmethod
+    def for_solve(cls, D: Dataset, params: HdParams, space: RestrictedSpace | None,
+                  cap: int | None = None) -> _HdInstance:
+        """The instance of a solve: D's basis and the discretization of
+        ``params`` over ``space``; cap defaults to n."""
         d, n = D.d, D.n
         if params.r > n:
             raise ValueError(f"budget r={params.r} exceeds the dataset size {n}")
         if params.r < d:
             raise ValueError(f"budget r={params.r} cannot fit the basis (r >= d={d} required)")
-        self.D = D
-        self.params = params
-        self.space = space
-        self.cap = n if cap is None else cap
-        self.basis = basis(D).indices
-        self.m = params.sample_size(n, d)
-        self.disc = build_discretization(d, params.gamma, self.m, params.seed, space,
-                                         direction_sampler)
-        self.order: np.ndarray | None = None
-        self.first_basis: np.ndarray | None = None
-        self.covers: dict[int, tuple[int, ...]] = {}
+        stop = basis(D).indices
+        disc = build_discretization(d, params.gamma, params.sample_size(n, d),
+                                    params.seed, space)
+        return cls(D, disc, stop, n if cap is None else cap)
 
     @property
     def order_width(self) -> int:
         return 0 if self.order is None else self.order.shape[1]
 
-    def order_for(self, k: int) -> np.ndarray | None:
-        """The order prefix, first widened when it has fewer than k columns."""
+    def uncovered(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The vectors whose top-k holds no basis tuple, and those top-k
+        rows, after widening the prefix when it has fewer than k columns.
+
+        Row i of the returned matrix holds the 0-based tuples that cover
+        vector ``uncovered_ids[i]``: its entries are the (tuple, vector)
+        pairs of the cover instance.
+        """
+        D = self.D
+        if not 1 <= k <= D.n:
+            raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
         width = self.order_width
         if k > width:
-            D = self.D
             floor = 2 * width if width else min(64, math.ceil(D.n / math.log2(D.n + 1)))
             K = min(max(k, floor), self.cap)
             redo = np.flatnonzero(self.first_basis >= width) if width else slice(None)
@@ -499,15 +467,20 @@ class _HdInstance:
                 order[redo], self.first_basis[redo] = rows, first
                 rows, first = order, self.first_basis
             self.order, self.first_basis = rows, first
-        return self.order
+        uncovered_ids = np.flatnonzero(self.first_basis >= k)
+        return uncovered_ids, self.order[uncovered_ids, :k]
 
     def cover(self, k: int) -> tuple[int, ...]:
-        """The greedy cover at threshold k, built on the first call for k."""
+        """The greedy cover at threshold k (``greedy_min_superset``), built
+        on the first call for k."""
         if k not in self.covers:
-            order = self.order_for(k)
-            _, rows = _uncovered_top_k(self.D, k, self.basis, self.disc, order,
-                                       self.first_basis)
-            self.covers[k] = _greedy(rows, self.basis)
+            rows = self.uncovered(k)[1]
+            chosen: list[int] = []
+            while rows.shape[0]:
+                best = int(np.argmax(np.bincount(rows.ravel())))
+                chosen.append(best + 1)
+                rows = rows[~(rows == best).any(axis=1)]
+            self.covers[k] = tuple(sorted(set(self.basis) | set(chosen)))
         return self.covers[k]
 
 
@@ -533,7 +506,8 @@ def _search(inst: _HdInstance, r: int, cap: int) -> tuple[int, tuple[int, ...]] 
     return hi, inst.cover(hi)
 
 
-def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...]) -> RegretResult:
+def _result(inst: _HdInstance, params: HdParams, space: RestrictedSpace | None,
+            r: int, k: int, Q: tuple[int, ...]) -> RegretResult:
     """The search's cover for budget r, with its cover check re-verified."""
     D, disc = inst.D, inst.disc
     verified = discrete_rank_regret(Q, D, disc)
@@ -550,13 +524,12 @@ def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...]) -> RegretResu
     witness = int(np.argmin(early))
     if early[witness]:
         raise AssertionError(f"no vector of the order prefix reaches rank {verified}")
-    params, space = inst.params, inst.space
     solver_params = {
         "algo": "hd",
         "r": r,
         "gamma": params.gamma,
         "delta": params.delta_fail,
-        "m": inst.m,
+        "m": disc.m,
         "seed": params.seed,
         "epsilon_utility": params.epsilon_utility(D.d),
         "grid_size": int(disc.grid_part.shape[0]),
@@ -571,8 +544,8 @@ def _result(inst: _HdInstance, r: int, k: int, Q: tuple[int, ...]) -> RegretResu
     return RegretResult(Q, len(Q), k, solver_params)
 
 
-def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = None,
-                 direction_sampler=None) -> RegretResult:
+def solve_rrm_hd(D: Dataset, params: HdParams,
+                 space: RestrictedSpace | None = None) -> RegretResult:
     """Budget-r rank-regret minimization over the discretized utility set.
 
     Doubles the threshold k until the greedy cover fits the budget, then
@@ -586,16 +559,15 @@ def solve_rrm_hd(D: Dataset, params: HdParams, space: RestrictedSpace | None = N
     which the set's rank is ``discrete_rank_regret``, so
     ``rank_regret_of_set(vector, S, D)`` re-checks that number.
     """
-    inst = _HdInstance(D, params, space, direction_sampler)
+    inst = _HdInstance.for_solve(D, params, space)
     found = _search(inst, params.r, D.n)
     if found is None:
         raise AssertionError("threshold n must always fit: basis covers everything")
-    return _result(inst, params.r, *found)
+    return _result(inst, params, space, params.r, *found)
 
 
 def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
-                 space: RestrictedSpace | None = None,
-                 direction_sampler=None) -> RegretResult:
+                 space: RestrictedSpace | None = None) -> RegretResult:
     """A small set whose greedy cover reaches worst-case threshold k.
 
     The greedy cover at k gives the first budget, its size.  The threshold
@@ -614,21 +586,21 @@ def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
     """
     if not 1 <= k <= D.n:
         raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
-    inst = _HdInstance(D, params, space, direction_sampler, cap=k)
+    inst = _HdInstance.for_solve(D, params, space, cap=k)
     r, best = len(inst.cover(k)), None
     while r >= len(inst.basis):
         found = _search(inst, r, k)
         if found is None:
             break
         best, r = found, len(found[1]) - 1
-    res = _result(inst, len(best[1]), *best)
+    res = _result(inst, params, space, len(best[1]), *best)
     res.solver_params.update(algo="hd-rrr", k=k)
     return res
 
 
 def linear_scan_cover_sizes(D: Dataset, params: HdParams,
                             space: RestrictedSpace | None = None,
-                            ks=None, direction_sampler=None) -> dict:
+                            ks=None) -> dict:
     """Verification mode: greedy cover size for every threshold k in ks
     (default 1..n), built on one instance as the solvers build them.
 
@@ -637,7 +609,7 @@ def linear_scan_cover_sizes(D: Dataset, params: HdParams,
     can be replayed and checked on this table; any non-monotone pair is
     reported, never raised.
     """
-    inst = _HdInstance(D, params, space, direction_sampler)
+    inst = _HdInstance.for_solve(D, params, space)
     ks = list(range(1, D.n + 1)) if ks is None else sorted(set(int(k) for k in ks))
     sizes = [(k, len(inst.cover(k))) for k in ks]
     smallest_fit = next((k for k, s in sizes if s <= params.r), None)
@@ -650,5 +622,5 @@ def linear_scan_cover_sizes(D: Dataset, params: HdParams,
         "sizes": sizes,
         "smallest_fit_k": smallest_fit,
         "non_monotone_pairs": non_monotone,
-        "m": inst.m,
+        "m": inst.disc.m,
     }

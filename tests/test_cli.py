@@ -162,6 +162,19 @@ class TestEval:
         code, _, _ = run(["eval", "--input", demo_csv, "--set", "0,9"])
         assert code == 1
 
+    def test_malformed_set_usage_error(self, demo_csv):
+        code, _, err = run(["eval", "--input", demo_csv, "--set", "1..x"])
+        assert code == 1 and "usage error" in err and "'x'" in err
+
+    def test_malformed_ks_usage_error(self, demo_csv):
+        code, _, err = run(["eval", "--input", demo_csv, "--set", "1",
+                            "--metrics", "ratk", "--ks", "a"])
+        assert code == 1 and "usage error" in err and "'a'" in err
+
+    def test_negate_takes_header_names(self, demo_csv):
+        code, _, err = run(["eval", "--input", demo_csv, "--set", "1", "--negate", "2"])
+        assert code == 2 and "negate column '2' is not in the header" in err
+
 
 class TestGen:
     def test_writes_csv(self, tmp_path):

@@ -109,6 +109,13 @@ class TestLoadCsv:
         # cheapest row becomes the boundary tuple of the price column
         assert D.values[0, 0] == 1.0 and D.values[1, 0] == 0.0
 
+    @pytest.mark.parametrize("spec", ["cost", "2"])
+    def test_negate_column_not_in_header(self, tmp_path, spec):
+        p = tmp_path / "neg.csv"
+        p.write_text("price,quality\n10,0.2\n30,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"neg.csv: negate column '{spec}' is not in"):
+            load_csv(p, negate_columns=[spec])
+
     def test_ragged_row_diagnostic(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n3\n", encoding="utf-8")

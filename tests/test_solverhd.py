@@ -217,19 +217,16 @@ def test_greedy_matches_loop_reference_on_tied_data(seed, space):
         assert rr.greedy_min_superset(D, k, D.basis_indices, disc) == want
 
 
-class TestOrderArgument:
-    def test_narrow_or_misshapen_order_raises(self):
-        D = generate(GenSpec("independent", 40, 3, seed=1))
-        disc = rr.build_discretization(3, 2, 20, seed=1)
-        order = _descending_order(D, disc.vectors, 4)
-        B = D.basis_indices
-        for fn in (rr.build_cover, rr.greedy_min_superset):
-            with pytest.raises(ValueError, match="at least k=5 columns"):
-                fn(D, 5, B, disc, order)
-            with pytest.raises(ValueError, match=rf"got shape \({disc.size - 1}, 4\)"):
-                fn(D, 3, B, disc, order[1:])
-        assert rr.greedy_min_superset(D, 4, B, disc, order) == \
-            rr.greedy_min_superset(D, 4, B, disc)
+def test_widened_prefix_gives_the_covers_of_a_fresh_k_wide_build():
+    # the instance's prefix starts 37 wide at n = 300 and widens to 74, 148
+    # and 296; each cover on it equals the one on a prefix built k wide
+    D = generate(GenSpec("anti-correlated", 300, 3, seed=5))
+    inst = solverhd._HdInstance.for_solve(D, HdParams(r=3, gamma=3, m=300, seed=5), None)
+    widths = []
+    for k in range(1, 160):
+        assert inst.cover(k) == rr.greedy_min_superset(D, k, inst.basis, inst.disc)
+        widths.append(inst.order_width)
+    assert sorted(set(widths)) == [37, 74, 148, 296]
 
 
 class TestGreedyMinSuperset:
