@@ -46,7 +46,13 @@ def _load_space(path) -> RestrictedSpace | None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    halfspaces = tuple(tuple(float(x) for x in h) for h in data.get("halfspaces", ()))
+    rows = data.get("halfspaces", []) if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(h, list) for h in rows):
+        raise ValueError(f'{path}: expected a JSON object {{"halfspaces": [[...], ...]}}')
+    try:
+        halfspaces = tuple(tuple(float(x) for x in h) for h in rows)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: halfspace entries must be numbers") from None
     return RestrictedSpace(halfspaces, description=str(path))
 
 
@@ -77,17 +83,14 @@ def _int(text: str, flag: str) -> int:
 def _parse_index_set(text: str, n: int) -> list[int]:
     """Accepts "1,4,7" and ranges like "1..7"."""
     out: set[int] = set()
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.update(range(_int(lo, "--set"), _int(hi, "--set") + 1))
-        elif part:
-            out.add(_int(part, "--set"))
+    for part in filter(None, map(str.strip, text.split(","))):
+        ends = [_int(end, "--set") for end in part.split("..", 1)]
+        # bounds first, so a huge range is refused before it is expanded
+        if min(ends) < 1 or max(ends) > n:
+            raise _UsageError(f"--set indices must lie in 1..{n}")
+        out.update(range(ends[0], ends[-1] + 1))
     if not out:
         raise _UsageError("--set resolved to an empty index set")
-    if min(out) < 1 or max(out) > n:
-        raise _UsageError(f"--set indices must lie in 1..{n}")
     return sorted(out)
 
 
@@ -191,64 +194,67 @@ def _config_dict(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
-def cmd_solve(args) -> int:
+def _hd_params(args, r: int, seed: int) -> solverhd.HdParams:
+    return solverhd.HdParams(r=r, gamma=args.gamma, delta_fail=args.delta, m=args.m,
+                             seed=seed)
+
+
+def _run_solver(args, key: str, solve_2d, solve_hd, extra=None) -> int:
+    """Shared body of ``solve`` and ``rrr``: time ``solve_2d(D, space)`` or
+    ``solve_hd(D, space, seed)``, then emit the result with its config and
+    the untimed fields of ``extra(D, space, seed, result)``."""
     D = _load_dataset(args)
     space = _load_space(args.restrict)
     seed = _resolved_seed(args)
-    config = _config_dict(args, ("algo", "r", "input", "restrict", "gamma",
-                                 "delta", "m"))
+    config = _config_dict(args, ("algo", key, "input", "restrict", "gamma", "delta", "m"))
     config["seed"] = seed
     t0 = time.perf_counter()
     if args.algo == "2d":
         if D.d != 2:
             raise ValueError(f"--algo 2d requires a 2-attribute dataset, got d={D.d}")
-        result = solver2d.solve_rrm_2d(D, args.r, space)
+        result = solve_2d(D, space)
     else:
-        params = solverhd.HdParams(r=args.r, gamma=args.gamma,
-                                   delta_fail=args.delta, m=args.m, seed=seed)
-        result = solverhd.solve_rrm_hd(D, params, space)
+        result = solve_hd(D, space, seed)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     print(f"solved in {elapsed_ms:.1f} ms", file=sys.stderr)
     payload = result.to_json_dict()
     payload["params"]["config"] = config
-    if args.linear_scan and args.algo == "hd":
-        scan = solverhd.linear_scan_cover_sizes(D, params, space)
+    if extra is not None:
+        payload.update(extra(D, space, seed, result))
+    _emit_json(payload, args.out)
+    return 0
+
+
+def cmd_solve(args) -> int:
+    if args.linear_scan and args.algo != "hd":
+        raise _UsageError("--linear-scan requires --algo hd")
+
+    def linear_scan(D, space, seed, result) -> dict:
+        scan = solverhd.linear_scan_cover_sizes(D, _hd_params(args, args.r, seed), space)
         agree = scan["smallest_fit_k"] == result.rank_regret
-        payload["linear_scan"] = {
+        if not agree or scan["non_monotone_pairs"]:
+            print("linear scan: cover sizes are not monotone in k; "
+                  "search result reported unchanged", file=sys.stderr)
+        return {"linear_scan": {
             "smallest_fit_k": scan["smallest_fit_k"],
             "search_k": result.rank_regret,
             "agrees": agree,
             "non_monotone_pairs": [list(p) for p in scan["non_monotone_pairs"]],
-        }
-        if not agree or scan["non_monotone_pairs"]:
-            print("linear scan: cover sizes are not monotone in k; "
-                  "search result reported unchanged", file=sys.stderr)
-    _emit_json(payload, args.out)
-    return 0
+        }}
+
+    return _run_solver(
+        args, "r",
+        lambda D, space: solver2d.solve_rrm_2d(D, args.r, space),
+        lambda D, space, seed: solverhd.solve_rrm_hd(D, _hd_params(args, args.r, seed), space),
+        linear_scan if args.linear_scan else None)
 
 
 def cmd_rrr(args) -> int:
-    D = _load_dataset(args)
-    space = _load_space(args.restrict)
-    seed = _resolved_seed(args)
-    config = _config_dict(args, ("algo", "k", "input", "restrict", "gamma",
-                                 "delta", "m"))
-    config["seed"] = seed
-    t0 = time.perf_counter()
-    if args.algo == "2d":
-        if D.d != 2:
-            raise ValueError(f"--algo 2d requires a 2-attribute dataset, got d={D.d}")
-        result = solver2d.solve_rrr_2d(D, args.k, space)
-    else:
-        params = solverhd.HdParams(r=D.d, gamma=args.gamma,
-                                   delta_fail=args.delta, m=args.m, seed=seed)
-        result = solverhd.solve_rrr_hd(D, args.k, params, space)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    print(f"solved in {elapsed_ms:.1f} ms", file=sys.stderr)
-    payload = result.to_json_dict()
-    payload["params"]["config"] = config
-    _emit_json(payload, args.out)
-    return 0
+    return _run_solver(
+        args, "k",
+        lambda D, space: solver2d.solve_rrr_2d(D, args.k, space),
+        lambda D, space, seed: solverhd.solve_rrr_hd(D, args.k, _hd_params(args, D.d, seed),
+                                                     space))
 
 
 def cmd_eval(args) -> int:

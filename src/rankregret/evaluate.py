@@ -22,26 +22,8 @@ from .solverhd import sample_sphere
 class EvalReport:
     estimated_rank_regret: int
     rat_k: dict[int, float] = field(default_factory=dict)
-    max_regret_ratio: float | None = None
     samples: int = 0
     seed: int = 0
-    normalized_input: bool = True
-    skipped_samples: int = 0
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "estimated_rank_regret": self.estimated_rank_regret,
-            "rat_k": {str(k): v for k, v in sorted(self.rat_k.items())},
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-        if self.max_regret_ratio is not None:
-            out["max_regret_ratio"] = self.max_regret_ratio
-        if not self.normalized_input:
-            out["normalized_input"] = False
-        if self.skipped_samples:
-            out["skipped_samples"] = self.skipped_samples
-        return out
 
 
 def estimate_rank_regret(S, D: Dataset, samples: int, seed: int,
@@ -61,7 +43,6 @@ def estimate_rank_regret(S, D: Dataset, samples: int, seed: int,
         rat_k=rat,
         samples=samples,
         seed=seed,
-        normalized_input=D.normalized,
     )
 
 

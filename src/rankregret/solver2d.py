@@ -72,20 +72,6 @@ class _ChainNode:
         return out
 
 
-@dataclass
-class SweepState:
-    """Snapshot of the sweep exposed to trace callbacks, once per event
-    point: every crossing at one exact x is processed as one batch."""
-
-    sweep_x: float
-    interval: tuple[float, float]
-    order: tuple[int, ...]            # tuple indices, top to bottom just right of x
-    event: tuple[int, ...]            # the batch's lines, top to bottom just left of x;
-                                      # for one crossing (falling, rising)
-    chain_ranks: np.ndarray           # copy of the s x r worst-rank matrix
-    events_processed: int
-
-
 def render_scene(space: RestrictedSpace | None) -> tuple[float, float]:
     """Image of the cone under u -> u[1]/(u[1]+u[2]): the swept x-interval."""
     if space is None or space.is_full:
@@ -446,7 +432,7 @@ def _relax(row, links, oj: int, src, src_chains, mid, floor: int) -> None:
             links[h + step] = _ChainNode(oj, prev)
 
 
-def _sweep(form: _Form, band: np.ndarray, r: int, trace=None):
+def _sweep(form: _Form, band: np.ndarray, r: int):
     """Dual sweep of the lines of ``band`` feeding the chain DP.
 
     ``band`` holds ascending rows and contains ``form.sky``; ranks are
@@ -463,11 +449,10 @@ def _sweep(form: _Form, band: np.ndarray, r: int, trace=None):
     ``_own_ranks`` carries its exact rank at lo, so the DP visits the
     points where skyline lines meet (``_pass_point``) and takes the worst
     of the ranks in between.  Working memory is O(|skyline| * |band|)
-    crossings.  With a ``trace`` every band line is ranked, so each batch
-    reports the whole order.
+    crossings.
     """
     sky = form.sky.tolist()
-    members = band if trace is not None else np.sort(form.sky)
+    members = np.sort(form.sky)
     P = form.points(band, members)
     ranks = _own_ranks(form, band, members, P)
     own, at, cell = ([ranks[row][i].tolist() for row in sky] for i in range(3))
@@ -492,16 +477,10 @@ def _sweep(form: _Form, band: np.ndarray, r: int, trace=None):
             M_rank[o] = [h if h > v else v for h in M_rank[o]]
             done[o] = j
 
-    batches: dict[int, list[int]] = {}
-    if trace is not None:
-        for k in cross.tolist():
-            batches.setdefault(int(P.point[k]), []).extend((int(P.pm[k]), int(P.pc[k])))
-        now = {row: int(ranks[row][2][0]) for row in band.tolist()}  # ranks right of lo
-        processed = 0
-    for g in sorted(set(meets) | set(batches)):
+    for g in sorted(meets):
         # skyline lines through one point all cross there, so a line's
         # partners there are its whole block
-        for block in {frozenset(v) for v in meets.get(g, {}).values()}:
+        for block in {frozenset(v) for v in meets[g].values()}:
             ords = sorted(block)
             js = [bisect_left(own[o], g) for o in ords]
             for o in ords:
@@ -510,21 +489,6 @@ def _sweep(form: _Form, band: np.ndarray, r: int, trace=None):
                         [cell[o][j] for o, j in zip(ords, js)], g == 0)
             for o, j in zip(ords, js):
                 done[o] = j + 1
-        if g > 0 and trace is not None:
-            for o in range(len(sky)):
-                fold(o, g + 1)
-            lines = sorted(set(batches[g]), key=now.get)
-            for row in lines:
-                now[row] = int(ranks[row][2][np.searchsorted(ranks[row][0], g)])
-            processed += len(batches[g]) // 2
-            trace(SweepState(
-                sweep_x=float(P.x[P.rep[g]]),
-                interval=(form.lo, form.hi),
-                order=tuple(row + 1 for row in sorted(now, key=now.get)),
-                event=tuple(row + 1 for row in lines),
-                chain_ranks=np.array(M_rank, dtype=np.int64),
-                events_processed=processed,
-            ))
     for o in range(len(sky)):
         fold(o, P.rep.size)
     return np.array(M_rank, dtype=np.int64), chains, int(np.count_nonzero(P.point[cross]))
@@ -555,8 +519,7 @@ def _params(form: _Form, space, **extra) -> dict:
             "halfspaces": [list(h) for h in (space.halfspaces if space else ())]}
 
 
-def solve_rrm_2d(D: Dataset, r: int, space: RestrictedSpace | None = None,
-                 trace=None) -> RegretResult:
+def solve_rrm_2d(D: Dataset, r: int, space: RestrictedSpace | None = None) -> RegretResult:
     """Minimum worst-case rank-regret over subsets of size at most r.
 
     The search is confined to the restricted skyline and to the rendered
@@ -571,9 +534,7 @@ def solve_rrm_2d(D: Dataset, r: int, space: RestrictedSpace | None = None,
     the optimum returns the same set: a rank within K is the same among
     the band and among all lines and one above K stays above K, so every
     DP choice that leads to the optimum is made alike on both.  The
-    rounds also stop once the band holds every tuple.  With a ``trace``
-    callback the band is every tuple from the start, so the callback
-    sees the whole arrangement.
+    rounds also stop once the band holds every tuple.
     The returned set is re-ranked as ``exact_chain_rank`` ranks it.
     Returns the optimal value and one optimal subset (deterministic
     tie-breaking).
@@ -584,11 +545,11 @@ def solve_rrm_2d(D: Dataset, r: int, space: RestrictedSpace | None = None,
     if not 1 <= r <= n:
         raise ValueError(f"budget r must be in 1..{n}, got {r}")
     form = _Form.of(D, space)
-    K = 1 if trace is None else n
+    K = 1
     events = 0
     while True:
         band = _band(form, K)
-        M_rank, chains, processed = _sweep(form, band, r, trace)
+        M_rank, chains, processed = _sweep(form, band, r)
         events += processed
         value = int(M_rank[:, r - 1].min())
         if value <= K or band.size == n:

@@ -111,6 +111,24 @@ class TestSolve:
         assert "linear_scan" in data
         assert data["linear_scan"]["search_k"] == data["rank_regret"]
 
+    def test_linear_scan_with_2d_is_usage_error(self, demo_csv):
+        code, out, err = run(["solve", "--algo", "2d", "--r", "1", "--input", demo_csv,
+                              "--linear-scan"])
+        assert code == 1 and out == ""
+        assert "usage error" in err and "--linear-scan" in err
+
+    @pytest.mark.parametrize("text", ['[[1, -1]]', '"x"', '{"halfspaces": 5}',
+                                      '{"halfspaces": [1, -1]}', '{"halfspaces": [[null, 1]]}'],
+                             ids=["list", "string", "number", "flat-list", "null-entry"])
+    def test_malformed_restrict_file_exits_2(self, demo_csv, tmp_path, text):
+        spath = tmp_path / "space.json"
+        spath.write_text(text, encoding="utf-8")
+        code, out, err = run(["solve", "--algo", "2d", "--r", "1",
+                              "--input", demo_csv, "--restrict", str(spath)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(spath) in err
+        assert "Traceback" not in err
+
     def test_missing_required_flag_is_usage_error(self, demo_csv):
         code, _, err = run(["solve", "--algo", "2d", "--input", demo_csv])
         assert code == 1
@@ -161,6 +179,13 @@ class TestEval:
     def test_bad_set_usage_error(self, demo_csv):
         code, _, _ = run(["eval", "--input", demo_csv, "--set", "0,9"])
         assert code == 1
+
+    def test_huge_range_refused_before_expansion(self, demo_csv):
+        # a range reaching past n is refused by its ends, not expanded
+        code, _, err = run(["eval", "--input", demo_csv, "--set", "1..1000000000000"])
+        assert code == 1 and "usage error" in err and "1..7" in err
+        code, _, err = run(["eval", "--input", demo_csv, "--set=-1000000000000..3"])
+        assert code == 1 and "1..7" in err
 
     def test_malformed_set_usage_error(self, demo_csv):
         code, _, err = run(["eval", "--input", demo_csv, "--set", "1..x"])

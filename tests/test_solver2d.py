@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankregret as rr
+from rankregret.solver2d import _band, _Form, _sweep, _verified_chain
 
 from conftest import dual_order, random_dataset, traced_peak
 
@@ -215,103 +216,51 @@ class TestSolveRrr2d:
 
 
 class TestSweepInternals:
-    """Instrumented sweeps: event bookkeeping and DP soundness."""
+    """The sweep's event count and its batches of concurrent crossings."""
 
-    @staticmethod
-    def _crossings_inside(values, lo, hi):
-        b = values[:, 1]
-        s = values[:, 0] - values[:, 1]
-        out = {}
-        n = len(values)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if s[i] != s[j]:
-                    x = (b[j] - b[i]) / (s[i] - s[j])
-                    if lo < x <= hi:
-                        out[(i + 1, j + 1)] = x
-        return out
-
-    def test_event_completeness(self):
-        for seed in range(4):
-            D = random_dataset(14, 2, seed=1100 + seed)
-            events = []
-            rr.solve_rrm_2d(D, 2, trace=events.append)
-            processed = [tuple(sorted(st.event)) for st in events]
-            assert len(processed) == len(set(processed))
-            expected = self._crossings_inside(D.values, 0.0, 1.0)
-            assert set(processed) == set(expected)
-
-    def test_event_completeness_restricted(self):
-        space = rr.RestrictedSpace(((1.0, -1.0),))
-        D = random_dataset(14, 2, seed=1200)
-        events = []
-        rr.solve_rrm_2d(D, 2, space, trace=events.append)
-        processed = [tuple(sorted(st.event)) for st in events]
-        assert set(processed) == set(self._crossings_inside(D.values, 0.5, 1.0))
-
-    def test_positions_match_recomputed_ranks(self):
-        D = random_dataset(12, 2, seed=1300)
-        events = []
-        rr.solve_rrm_2d(D, 2, trace=events.append)
-        xs = [st.sweep_x for st in events] + [1.0]
-        for st, x_next in zip(events, xs[1:]):
-            mid = (st.sweep_x + x_next) / 2
-            by_rank = [int(i) + 1 for i in dual_order(D.values, mid)[:, 0]]
-            assert list(st.order) == by_rank
-
-    def test_dp_soundness_along_optimal_chain(self):
-        # whenever the sweep passes a junction of a known optimal chain,
-        # the matching cell already holds a value at most the optimum
-        for seed in range(4):
-            D = random_dataset(15, 2, seed=1400 + seed)
-            r = 3
-            ref = rr.exhaustive_rrm(D, r)
-            k_star = ref.optimal_value
-            chain = sorted(ref.optimal_sets[0],
-                           key=lambda t: D.values[t - 1, 0] - D.values[t - 1, 1])
-            lines = {l.tuple_index: l for l in rr.dualize(D)}
-            events = []
-            rr.solve_rrm_2d(D, r, trace=events.append)
-            checked = 0
-            for j in range(len(chain) - 1):
-                a, b = chain[j], chain[j + 1]
-                hits = [st for st in events if st.event == (a, b)]
-                for st in hits:
-                    col = j + 1  # cell for chains of size j+2
-                    row = lines[b].skyline_ordinal - 1
-                    assert st.chain_ranks[row, col] <= k_star
-                    checked += 1
-            assert checked > 0
+    @pytest.mark.parametrize("space", [None, rr.RestrictedSpace(((1.0, -1.0),))],
+                             ids=["full", "halfplane"])
+    def test_events_count_skyline_crossings(self, space):
+        # the events are the crossings inside (lo, hi] of a skyline line
+        # with any line, each counted once, in exact arithmetic
+        lo, hi = (Fraction(x) for x in rr.render_scene(space))
+        for seed in range(1100, 1104):
+            D = random_dataset(14, 2, seed=seed)
+            sky = {i - 1 for i in rr.restricted_skyline(D, space).indices}
+            lines = [(Fraction(v1), Fraction(v0) - Fraction(v1))
+                     for v0, v1 in D.values.tolist()]
+            want = sum(1 for (i, (bi, si)), (j, (bj, sj))
+                       in itertools.combinations(enumerate(lines), 2)
+                       if (i in sky or j in sky) and si != sj
+                       and lo < (bj - bi) / (si - sj) <= hi)
+            assert want > 0
+            assert _full_sweep(D, 2, space)[1] == want
 
     def test_duplicate_tuples_no_events(self):
+        # the two copies never cross each other; each crosses tuple 3 once
         vals = np.array([[0.4, 0.6], [0.4, 0.6], [0.8, 0.2]])
         D = rr.Dataset(vals, normalized=False)
-        events = []
-        res = rr.solve_rrm_2d(D, 2, trace=events.append)
-        # duplicate lines never cross each other
-        assert all(set(st.event) != {1, 2} for st in events)
-        assert res.rank_regret == rr.exact_chain_rank(res.selected_indices, D)
+        for r in (1, 2):
+            (indices, value), events = _full_sweep(D, r)
+            assert events == 2
+            assert value == rr.exact_chain_rank(indices, D) == rr.exhaustive_rrm(D, r).optimal_value
 
     def test_concurrent_crossings_decompose(self):
-        # three lines through one exact point (x = 0.5, y = 0.5): the
-        # sweep takes their three crossings as one batch, with the lines
-        # ordered by slope just left of the point and reversed right of it
+        # three lines through one exact point (x = 0.5, y = 0.5): their
+        # three crossings are three events in one batch
         vals = np.array([[0.75, 0.25], [0.5, 0.5], [1.0, 0.0]])
         D = rr.Dataset(vals, normalized=False)
-        events = []
-        res = rr.solve_rrm_2d(D, 2, trace=events.append)
-        assert len(events) == 1
-        batch = events[0]
-        assert batch.sweep_x == 0.5 and batch.events_processed == 3
-        assert batch.event == (2, 1, 3)
-        assert batch.order == (3, 1, 2)
-        ref = rr.exhaustive_rrm(D, 2)
-        assert res.rank_regret == ref.optimal_value == 2
+        (indices, value), events = _full_sweep(D, 2)
+        assert events == 3
+        assert value == rr.exact_chain_rank(indices, D) == rr.exhaustive_rrm(D, 2).optimal_value == 2
 
 
 def _full_sweep(D, r, space=None):
-    """The sweep over every line: a trace callback turns the band off."""
-    return rr.solve_rrm_2d(D, r, space, trace=lambda state: None)
+    """((set, value), events) of the sweep over every line, with no band."""
+    form = _Form.of(D, space)
+    band = np.arange(D.n)
+    M_rank, chains, events = _sweep(form, band, r)
+    return _verified_chain(form, band, M_rank, chains, r - 1), events
 
 
 class TestSkybandSweep:
@@ -326,9 +275,8 @@ class TestSkybandSweep:
             D = rr.generate(rr.GenSpec(family, 60, 2, seed=1500 + seed))
             for space in self.SPACES:
                 for r in (1, 2, 4):
-                    res, ref = rr.solve_rrm_2d(D, r, space), _full_sweep(D, r, space)
-                    assert (res.selected_indices, res.rank_regret) == \
-                        (ref.selected_indices, ref.rank_regret)
+                    res = rr.solve_rrm_2d(D, r, space)
+                    assert (res.selected_indices, res.rank_regret) == _full_sweep(D, r, space)[0]
                     pruned += res.solver_params["band_size"] < D.n
         assert pruned > 0
 
@@ -339,12 +287,10 @@ class TestSkybandSweep:
             for space in self.SPACES:
                 for k in (1, 3, 6):
                     res = rr.solve_rrr_2d(D, k, space)
-                    ref = next(out for out in (_full_sweep(D, r, space)
-                                               for r in range(1, D.n + 1))
-                               if out.rank_regret <= k)
-                    assert (res.selected_indices, res.rank_regret) == \
-                        (ref.selected_indices, ref.rank_regret)
-                    assert res.solver_params["r"] == ref.solver_params["r"]
+                    r, ref = next((r, out) for r in range(1, D.n + 1)
+                                  for out in [_full_sweep(D, r, space)[0]] if out[1] <= k)
+                    assert (res.selected_indices, res.rank_regret) == ref
+                    assert res.solver_params["r"] == r
                     assert res.solver_params["band_k"] == k
 
     @pytest.mark.parametrize("family", ["independent", "anti-correlated"])
@@ -404,7 +350,6 @@ def test_band_is_the_skyband_of_the_exact_end_ranks(data, weak, K):
     # the heap count in _band against skyline.skyband of the two columns
     # of exact end ranks, joined with the skyline rows
     from rankregret.skyline import skyband
-    from rankregret.solver2d import _band, _Form
 
     D = rr.Dataset(_tied_values(data), normalized=False)
     form = _Form.of(D, rr.RestrictedSpace.weak_ranking(2) if weak else None)
@@ -422,8 +367,6 @@ def test_band_is_the_skyband_of_the_exact_end_ranks(data, weak, K):
 def test_band_at_or_above_the_optimum_returns_the_same_set(data, weak):
     # solve_rrm_2d may stop at any K at or above the optimum, so the
     # sweep over the K-band must give the same set and value at each
-    from rankregret.solver2d import _band, _Form, _sweep, _verified_chain
-
     D = rr.Dataset(_tied_values(data), normalized=False)
     space = rr.RestrictedSpace.weak_ranking(2) if weak else None
     r = data.draw(st.integers(1, min(3, D.n)))
