@@ -88,6 +88,8 @@ def _parse_index_set(text: str, n: int) -> list[int]:
         # bounds first, so a huge range is refused before it is expanded
         if min(ends) < 1 or max(ends) > n:
             raise _UsageError(f"--set indices must lie in 1..{n}")
+        if ends[0] > ends[-1]:
+            raise _UsageError(f"--set range {part!r} runs backwards")
         out.update(range(ends[0], ends[-1] + 1))
     if not out:
         raise _UsageError("--set resolved to an empty index set")

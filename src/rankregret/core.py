@@ -216,10 +216,6 @@ class RestrictedSpace:
     def is_full(self) -> bool:
         return not self.halfspaces
 
-    @property
-    def dim(self) -> int | None:
-        return len(self.halfspaces[0]) if self.halfspaces else None
-
     def halfspace_matrix(self, d: int) -> np.ndarray:
         if self.halfspaces and len(self.halfspaces[0]) != d:
             raise ValueError(f"space is {len(self.halfspaces[0])}-dimensional, not {d}")
@@ -293,9 +289,6 @@ class RegretResult:
     size: int
     rank_regret: int
     solver_params: dict = field(default_factory=dict)
-    estimated_rank_regret: int | None = None
-    samples: int | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         idx = tuple(int(i) for i in self.selected_indices)
@@ -306,20 +299,13 @@ class RegretResult:
             raise ValueError("rank_regret is a 1-based rank")
 
     def to_json_dict(self) -> dict:
-        """Result as a plain dict following the on-disk schema (optional keys omitted)."""
-        out: dict = {
+        """Result as a plain dict following the on-disk schema."""
+        return {
             "indices": list(self.selected_indices),
             "size": self.size,
             "rank_regret": self.rank_regret,
             "params": self.solver_params,
         }
-        if self.estimated_rank_regret is not None:
-            out["estimated_rank_regret"] = self.estimated_rank_regret
-        if self.samples is not None:
-            out["samples"] = self.samples
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
 
 
 def scores(D: Dataset, u) -> np.ndarray:

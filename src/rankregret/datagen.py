@@ -155,7 +155,4 @@ def load_result(path) -> RegretResult:
         size=data["size"],
         rank_regret=data["rank_regret"],
         solver_params=data.get("params", {}),
-        estimated_rank_regret=data.get("estimated_rank_regret"),
-        samples=data.get("samples"),
-        seed=data.get("seed"),
     )

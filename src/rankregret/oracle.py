@@ -114,7 +114,7 @@ def exact_rat_k_2d(S, D: Dataset, k: int, space: RestrictedSpace | None = None) 
     rows = _set_rows(S, D.n)
     form = _Form(D.values, render_scene(space))
     lines = np.arange(D.n)
-    x, at, right = _set_ranks(form, lines, [rows], form.points(lines, rows))
+    x, at, right = _set_ranks(form, lines, [rows])
     if x.size < 2:
         # degenerate zero-width interval: a single direction
         return float(at[0, 0] <= k)
@@ -145,37 +145,31 @@ def _rank_profiles(D: Dataset, V: np.ndarray, cand: np.ndarray) -> np.ndarray:
 def _min_over_subsets(R: np.ndarray, cand: np.ndarray, r: int,
                       sets_cap: int) -> tuple[int, list[tuple[int, ...]], int]:
     """Exact minimum over all subsets of size <= r of max-over-columns of
-    the subset's best rank, with every subset either fully evaluated or
-    discarded by a certain lower bound.
+    the subset's best rank, with the first ``sets_cap`` subsets that reach
+    it in enumeration order, in one pass.
 
-    The lower bound evaluates a small column subset first; a subset whose
-    lower bound already reaches the incumbent cannot improve it.
+    A lower bound on a small column subset comes first; a subset whose
+    bound exceeds the incumbent can neither improve it nor tie it, and
+    every other subset is fully evaluated.  The list restarts whenever
+    the incumbent falls, so it ends holding optimal subsets only.
     """
     n_cand, n_cols = R.shape
     coarse_cols = np.unique(np.linspace(0, n_cols - 1, min(64, n_cols)).astype(int))
     Rc = np.ascontiguousarray(R[:, coarse_cols])
     work = 0
     best = np.inf
-    sizes = range(1, min(r, n_cand) + 1)
-    for size in sizes:
+    optimal: list[tuple[int, ...]] = []
+    for size in range(1, min(r, n_cand) + 1):
         for block in _combo_blocks(n_cand, size, 4096):
             work += len(block)
             lb = Rc[block].min(axis=1).max(axis=1)
-            for rows in block[lb < best]:
+            for rows in block[lb <= best]:
                 v = int(R[rows].min(axis=0).max())
                 if v < best:
-                    best = v
-    best = int(best)
-    optimal: list[tuple[int, ...]] = []
-    for size in sizes:
-        for block in _combo_blocks(n_cand, size, 4096):
-            lb = Rc[block].min(axis=1).max(axis=1)
-            for rows in block[lb <= best]:
-                if int(R[rows].min(axis=0).max()) == best:
+                    best, optimal = v, []
+                if v == best and len(optimal) < sets_cap:
                     optimal.append(tuple(sorted(int(cand[i]) + 1 for i in rows)))
-                    if len(optimal) >= sets_cap:
-                        return best, optimal, work
-    return best, optimal, work
+    return int(best), optimal, work
 
 
 def _combo_blocks(n: int, size: int, block: int):
@@ -212,8 +206,7 @@ def exhaustive_rrm(D: Dataset, r: int, space: RestrictedSpace | None = None,
         # candidates and in the cells right of them (0 where no cell is)
         form = _Form(D.values, render_scene(space))
         lines = np.arange(D.n)
-        _, at, right = _set_ranks(form, lines, [cand[i:i + 1] for i in range(len(cand))],
-                                  form.points(lines, cand))
+        _, at, right = _set_ranks(form, lines, [cand[i:i + 1] for i in range(len(cand))])
         R = np.concatenate([at, right], axis=1).astype(np.int32)
         method = "exhaustive-2d-exact"
         rep_samples = rep_seed = None

@@ -49,28 +49,6 @@ class DualLine:
     is_skyline: bool
     skyline_ordinal: int | None  # 1-based position in slope-ascending skyline order
 
-    def value_at(self, x: float) -> float:
-        return self.intercept + self.slope * x
-
-
-class _ChainNode:
-    """Immutable link of a stored convex chain (shared between cells)."""
-
-    __slots__ = ("ordinal", "prev")
-
-    def __init__(self, ordinal: int, prev: "_ChainNode | None"):
-        self.ordinal = ordinal
-        self.prev = prev
-
-    def rows(self) -> list[int]:
-        out = []
-        node: _ChainNode | None = self
-        while node is not None:
-            out.append(node.ordinal)
-            node = node.prev
-        out.reverse()
-        return out
-
 
 def render_scene(space: RestrictedSpace | None) -> tuple[float, float]:
     """Image of the cone under u -> u[1]/(u[1]+u[2]): the swept x-interval."""
@@ -82,13 +60,12 @@ def render_scene(space: RestrictedSpace | None) -> tuple[float, float]:
 
 
 class _Points(NamedTuple):
-    """Critical points: float x, a bound err on its distance to the exact
-    point, the crossing rows pm, pc (-1 for an exact float x), and the
-    exact order: ``point[k]`` numbers point k among the distinct exact
-    points in ascending order, and ``rep[g]`` is one point numbered g."""
+    """Critical points: float x, the crossing rows pm, pc (-1 for an
+    exact float x), and the exact order: ``point[k]`` numbers point k
+    among the distinct exact points in ascending order, and ``rep[g]`` is
+    one point numbered g."""
 
     x: np.ndarray
-    err: np.ndarray
     pm: np.ndarray
     pc: np.ndarray
     point: np.ndarray
@@ -198,7 +175,8 @@ class _Form:
                            np.concatenate([[-1, -1], pc[keep]]))
 
     def number(self, x, err, pm, pc) -> _Points:
-        """The points in exact order.  Float order decides wherever the
+        """The points in exact order, given bounds err on the floats x's
+        distances to the exact points.  Float order decides wherever the
         error bounds part two points; inside each group of overlapping
         bounds the exact points' correctly rounded floats do, and their
         exact values only where those are equal."""
@@ -224,7 +202,7 @@ class _Form:
             new[runs[1:]] |= (num[1:] * den[:-1] != num[:-1] * den[1:]).astype(bool)
         point = np.empty(x.size, dtype=np.int64)
         point[idx] = np.cumsum(new) - 1
-        return _Points(x, err, pm, pc, point, idx[np.flatnonzero(new)])
+        return _Points(x, pm, pc, point, idx[np.flatnonzero(new)])
 
 
 def _runs(starts: np.ndarray, size: int):
@@ -285,9 +263,10 @@ def _own_ranks(form: _Form, lines: np.ndarray, members: np.ndarray, P: _Points) 
             for row, a, z in zip(members, np.concatenate([[0], cuts[:-1]]), cuts)}
 
 
-def _set_ranks(form: _Form, lines: np.ndarray, groups, P: _Points):
+def _set_ranks(form: _Form, lines: np.ndarray, groups):
     """Rank of each member group among ``lines`` at every distinct point
-    of P, and in the open cell just right of it.
+    of ``form.points`` for the groups' members, and in the open cell just
+    right of it.
 
     A point with pm >= 0 belongs to those of pm and pc that are members,
     one with pm < 0 to every member.  A member's rank changes only at its
@@ -296,12 +275,14 @@ def _set_ranks(form: _Form, lines: np.ndarray, groups, P: _Points):
     cell of the interval lies right of it, and its cell rank is 0.
     Returns the points' floats and two (len(groups), points) arrays.
     """
+    members = np.unique(np.concatenate(groups))
+    P = form.points(lines, members)
     every = np.arange(P.rep.size)
     at = np.full((len(groups), every.size), lines.size + 1, dtype=np.int64)
     right = at.copy()
-    ranked = _own_ranks(form, lines, np.unique(np.concatenate(groups)), P)
-    for g, members in enumerate(groups):
-        for m in np.asarray(members).tolist():
+    ranked = _own_ranks(form, lines, members, P)
+    for g, group in enumerate(groups):
+        for m in np.asarray(group).tolist():
             own, m_at, m_right = ranked[m]
             last = np.searchsorted(own, every, side="right") - 1
             np.minimum(at[g], np.where(own[last] == every, m_at[last], m_right[last]), out=at[g])
@@ -313,7 +294,7 @@ def _set_ranks(form: _Form, lines: np.ndarray, groups, P: _Points):
 def _worst_rank(form: _Form, lines: np.ndarray, members: np.ndarray) -> int:
     """Exact worst rank of the (sorted) member rows among ``lines`` over
     the interval; see ``exact_chain_rank``."""
-    _, at, right = _set_ranks(form, lines, [members], form.points(lines, members))
+    _, at, right = _set_ranks(form, lines, [members])
     return int(max(at.max(), right.max()))
 
 
@@ -389,7 +370,7 @@ def _band(form: _Form, K: int) -> np.ndarray:
     return np.flatnonzero(inside)
 
 
-def _pass_point(M_rank, chains, ords, at, aft, fresh: bool) -> None:
+def _pass_point(M_rank, chains, ords, at, aft) -> None:
     """Chain DP step at one point through which the skyline lines of
     ordinals ``ords`` (ascending) pass, with their ranks at the point
     and in the cell right of it.
@@ -398,38 +379,35 @@ def _pass_point(M_rank, chains, ords, at, aft, fresh: bool) -> None:
     to a steeper line through it, or reach that steeper line through a
     line in between, which tops the set only at the point and costs one
     more set slot; at the point the set ranks as the best of the lines
-    it meets there.  With ``fresh`` (x = lo) no chain precedes the point.
+    it meets there.
     """
-    r = len(M_rank[ords[0]])
-    old = [[0] * r for _ in ords] if fresh else [M_rank[o] for o in ords]
-    old_chains = [[_ChainNode(o, None)] * r for o in ords] if fresh else \
-        [chains[o] for o in ords]
+    old = [M_rank[o] for o in ords]
+    old_chains = [chains[o] for o in ords]
     for j, oj in enumerate(ords):
         top = max(at[j], aft[j])
         row = [v if v > top else top for v in old[j]]
         links = list(old_chains[j])
         for i in range(j):
-            _relax(row, links, oj, old[i], old_chains[i], None,
+            _relax(row, links, old[i], old_chains[i], (oj,),
                    max(min(at[i], at[j]), aft[j]))
             if j - i > 1:
                 mid = min(range(i + 1, j), key=at.__getitem__)
-                _relax(row, links, oj, old[i], old_chains[i], ords[mid],
+                _relax(row, links, old[i], old_chains[i], (ords[mid], oj),
                        max(min(at[i], at[mid], at[j]), aft[j]))
         M_rank[oj] = row
         chains[oj] = links
 
 
-def _relax(row, links, oj: int, src, src_chains, mid, floor: int) -> None:
-    """Lower the cells of ``row`` (chains ending in ordinal oj) that a
-    chain ending in ``src`` improves by moving on to oj at a point, via
-    the middle ordinal ``mid`` when given (one more set slot)."""
-    step = 1 if mid is None else 2
+def _relax(row, links, src, src_chains, tail: tuple, floor: int) -> None:
+    """Lower the cells of ``row`` (chains ending in ``tail[-1]``) that a
+    chain ending in ``src`` improves by moving on through the ordinals of
+    ``tail`` at a point, one set slot per ordinal."""
+    step = len(tail)
     for h in range(len(row) - step):
         v = src[h] if src[h] > floor else floor
         if v < row[h + step]:
             row[h + step] = v
-            prev = src_chains[h] if mid is None else _ChainNode(mid, src_chains[h])
-            links[h + step] = _ChainNode(oj, prev)
+            links[h + step] = src_chains[h] + tail
 
 
 def _sweep(form: _Form, band: np.ndarray, r: int):
@@ -439,9 +417,10 @@ def _sweep(form: _Form, band: np.ndarray, r: int):
     exact ranks among the band's lines.  Returns ``(M_rank, chains,
     events)``: ``M_rank[o, h]`` is the least worst rank over the swept
     interval of a chain of at most h + 1 skyline lines ending in the line
-    of slope ordinal o, ``chains[o][h]`` one such chain, and ``events``
-    the number of crossings processed.  Column h depends only on the
-    columns to its left, so it is the same for every r > h.
+    of slope ordinal o, ``chains[o][h]`` one such chain as a tuple of
+    ascending slope ordinals, and ``events`` the number of crossings
+    processed.  Column h depends only on the columns to its left, so it
+    is the same for every r > h.
 
     The events are the crossings of skyline lines with band lines, in
     exact order, and all crossings at one exact x are one batch.  A
@@ -461,14 +440,15 @@ def _sweep(form: _Form, band: np.ndarray, r: int):
     ordinal = {row: o for o, row in enumerate(sky)}
     cross = np.flatnonzero(P.pm >= 0)
     meets: dict[int, dict[int, set[int]]] = {}  # point -> line -> lines meeting there
-    for k in cross[np.isin(P.pm[cross], form.sky) & np.isin(P.pc[cross], form.sky)].tolist():
+    for k in cross[np.isin(P.pc[cross], form.sky)].tolist():
         a, c = ordinal[int(P.pm[k])], ordinal[int(P.pc[k])]
         there = meets.setdefault(int(P.point[k]), {})
         there.setdefault(a, {a}).add(c)
         there.setdefault(c, {c}).add(a)
-    M_rank = [[max(a[0], c[0])] * r for a, c in zip(at, cell)]
-    chains = [[_ChainNode(o, None)] * r for o in range(len(sky))]
-    done = [1] * len(sky)  # own points already in M_rank
+    # every chain starts at rank 0 and folds in its ranks from lo on
+    M_rank = [[0] * r for _ in sky]
+    chains = [[(o,)] * r for o in range(len(sky))]
+    done = [0] * len(sky)  # own points already in M_rank
 
     def fold(o: int, stop: int) -> None:
         j = bisect_left(own[o], stop)
@@ -486,7 +466,7 @@ def _sweep(form: _Form, band: np.ndarray, r: int):
             for o in ords:
                 fold(o, g)
             _pass_point(M_rank, chains, ords, [at[o][j] for o, j in zip(ords, js)],
-                        [cell[o][j] for o, j in zip(ords, js)], g == 0)
+                        [cell[o][j] for o, j in zip(ords, js)])
             for o, j in zip(ords, js):
                 done[o] = j + 1
     for o in range(len(sky)):
@@ -505,7 +485,7 @@ def _verified_chain(form: _Form, band: np.ndarray, M_rank: np.ndarray, chains,
     """
     best_ord = int(np.argmin(M_rank[:, col]))
     value = int(M_rank[best_ord, col])
-    rows = np.sort(form.sky[chains[best_ord][col].rows()])
+    rows = np.sort(form.sky[list(chains[best_ord][col])])
     exact = _worst_rank(form, band, rows)
     if exact != value:
         raise AssertionError(

@@ -178,31 +178,25 @@ def filter_grid(grid: np.ndarray, space: RestrictedSpace | None) -> np.ndarray:
     return grid[space.membership_mask(grid)]
 
 
-def sample_sphere(d: int, m: int, seed: int, space: RestrictedSpace | None = None,
-                  direction_sampler=None) -> np.ndarray:
+def sample_sphere(d: int, m: int, seed: int,
+                  space: RestrictedSpace | None = None) -> np.ndarray:
     """m unit-norm nonnegative vectors, uniform on the admissible sphere patch.
 
-    The default draws |N(0,1)| coordinates and normalizes, which is uniform
-    on the positive orthant of the sphere; a custom direction_sampler
-    (rng, count) -> (count, d) array supports other user distributions.
-    For a restricted space vectors are kept by rejection; an acceptance
-    rate below 1e-4 on the probe batch raises ConeSamplingError.
+    It draws |N(0,1)| coordinates and normalizes, which is uniform on the
+    positive orthant of the sphere.  For a restricted space vectors are
+    kept by rejection; an acceptance rate below 1e-4 on the probe batch
+    raises ConeSamplingError.
     """
     if m < 1:
         raise ValueError("sample count m must be at least 1")
     rng = np.random.default_rng(seed)
-    if direction_sampler is None:
-        def direction_sampler(r, count):
-            return np.abs(r.standard_normal((count, d)))
     restricted = space is not None and not space.is_full
     batch = 32768
     chunks: list[np.ndarray] = []
     got = 0
     probed = False
     while got < m:
-        raw = np.atleast_2d(np.asarray(direction_sampler(rng, batch), dtype=float))
-        if raw.shape[1] != d:
-            raise ValueError("direction sampler returned wrong dimensionality")
+        raw = np.abs(rng.standard_normal((batch, d)))
         norms = np.linalg.norm(raw, axis=1)
         keep = norms > 0
         V = raw[keep] / norms[keep][:, None]

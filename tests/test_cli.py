@@ -191,6 +191,11 @@ class TestEval:
         code, _, err = run(["eval", "--input", demo_csv, "--set", "1..x"])
         assert code == 1 and "usage error" in err and "'x'" in err
 
+    def test_reversed_range_usage_error(self, demo_csv):
+        # not silently expanded to nothing, which would evaluate {1}
+        code, out, err = run(["eval", "--input", demo_csv, "--set", "1,5..3"])
+        assert code == 1 and out == "" and "usage error" in err and "'5..3'" in err
+
     def test_malformed_ks_usage_error(self, demo_csv):
         code, _, err = run(["eval", "--input", demo_csv, "--set", "1",
                             "--metrics", "ratk", "--ks", "a"])

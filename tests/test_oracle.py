@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,29 @@ class TestExhaustiveRrm:
         D = random_dataset(15, 2, seed=63)
         rep = rr.exhaustive_rrm(D, 3, sets_cap=2)
         assert len(rep.optimal_sets) <= 2
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mode", ["skyline", "all"])
+    def test_matches_unpruned_enumeration(self, d, mode):
+        # quarter-step rows tie many subsets at the optimum; here every
+        # subset is evaluated outright, in the oracle's enumeration order
+        many = False
+        for seed in range(3):
+            D = rr.generate(rr.GenSpec("independent", 12, d, seed=70 + seed))
+            D = rr.Dataset(np.round(D.values * 4) / 4, normalized=False)
+            cand = range(1, D.n + 1) if mode == "all" else rr.restricted_skyline(D, None)
+            subsets = [S for size in (1, 2) for S in itertools.combinations(cand, size)]
+            values = [rr.exact_chain_rank(S, D) if d == 2 else
+                      rr.estimate_rank_regret(S, D, 2_000, seed).estimated_rank_regret
+                      for S in subsets]
+            optimal = [S for S, v in zip(subsets, values) if v == min(values)]
+            many |= len(optimal) > 1
+            for cap in (1, 32):
+                rep = rr.exhaustive_rrm(D, 2, mode=mode, sets_cap=cap, samples=2_000, seed=seed)
+                assert rep.optimal_value == min(values)
+                assert list(rep.optimal_sets) == optimal[:cap]
+                assert rep.work_bound == len(subsets)
+        assert many
 
 
 class TestArcLowerBound:

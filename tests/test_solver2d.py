@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankregret as rr
-from rankregret.solver2d import _band, _Form, _sweep, _verified_chain
+from rankregret.solver2d import _band, _Form, _sweep, _verified_chain, _worst_rank
 
 from conftest import dual_order, random_dataset, traced_peak
 
@@ -253,6 +253,29 @@ class TestSweepInternals:
         (indices, value), events = _full_sweep(D, 2)
         assert events == 3
         assert value == rr.exact_chain_rank(indices, D) == rr.exhaustive_rrm(D, 2).optimal_value == 2
+
+    @pytest.mark.parametrize("lo", [0.25, 0.5])
+    def test_chains_through_a_crossing_at_lo(self, lo):
+        # one-decimal and quarter-step lines often meet exactly at lo,
+        # where every chain starts at rank 0 and passes the point like any
+        # later one; each row is a chain line, so rows of equal slope are
+        # dropped
+        rng = np.random.default_rng(19)
+        met = 0
+        for step in (10, 4) * 20:
+            vals = np.round(rng.random((int(rng.integers(4, 9)), 2)) * step) / step
+            _, first = np.unique(np.round(vals[:, 0] - vals[:, 1], 6), return_index=True)
+            rows = np.arange(first.size)
+            form = _Form(vals[np.sort(first)], (lo, 1.0), sky_rows=rows)
+            P = form.points(rows, rows)
+            met += bool(np.any((P.pm >= 0) & (P.point == 0)))
+            # the optimum for each budget h + 1 up to 3, by enumeration
+            want = np.minimum.accumulate([
+                min(_worst_rank(form, rows, np.array(S))
+                    for S in itertools.combinations(rows.tolist(), size))
+                for size in range(1, min(3, rows.size) + 1)])
+            assert _sweep(form, rows, want.size)[0].min(axis=0).tolist() == want.tolist()
+        assert met > 0
 
 
 def _full_sweep(D, r, space=None):

@@ -70,14 +70,6 @@ class TestSampleSphere:
         with pytest.raises(rr.ConeSamplingError):
             rr.sample_sphere(2, 100, seed=0, space=space)
 
-    def test_custom_direction_sampler(self):
-        def beam(rng, count):
-            raw = rng.random((count, 2))
-            raw[:, 0] += 3.0  # bias toward the first axis
-            return raw
-        V = rr.sample_sphere(2, 1_000, seed=4, direction_sampler=beam)
-        assert V[:, 0].mean() > 0.9
-
 
 class TestFilterGrid:
     def test_full_space_identity(self):
