@@ -17,7 +17,7 @@ D = rr.Dataset(values, ("A1", "A2"))
 
 print("dataset:", D)
 print("boundary tuples (basis):", D.basis_indices)
-print("skyline:", rr.skyline(D).indices)
+print("skyline:", rr.skyline(D))
 
 u = rr.UtilityVector((0.25, 0.75), "sum-one")
 print("\nscores under u=(0.25, 0.75):",
@@ -41,5 +41,5 @@ print("smallest subset staying within rank 3:", rrr.selected_indices)
 # the dual picture: each tuple is a line, skyline lines carry ordinals
 print("\ndual lines (top-to-bottom order at x=0):")
 for line in rr.dualize(D):
-    tag = f"skyline #{line.skyline_ordinal}" if line.is_skyline else "dominated"
+    tag = f"skyline #{line.skyline_ordinal}" if line.skyline_ordinal is not None else "dominated"
     print(f"  t{line.tuple_index}: y = {line.intercept:.2f} + {line.slope:+.2f}x  ({tag})")

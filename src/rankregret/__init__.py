@@ -38,7 +38,7 @@ from .oracle import (
     exhaustive_min_cover_size,
     exhaustive_rrm,
 )
-from .skyline import CandidateSet, basis, restricted_skyline, skyline
+from .skyline import restricted_skyline, skyline
 from .solver2d import (
     DualLine,
     dualize,
@@ -70,7 +70,6 @@ from .solverhd import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateSet",
     "ConeSamplingError",
     "CoverStructure",
     "Dataset",
@@ -86,7 +85,6 @@ __all__ = [
     "RestrictedSpace",
     "UtilityVector",
     "arc_dataset",
-    "basis",
     "build_cover",
     "build_discretization",
     "dense_grid_chain_rank",

@@ -83,7 +83,8 @@ def load_csv(path, normalize: bool = True, negate_columns=()) -> Dataset:
     """Dataset from a comma-separated file with a header row.
 
     negate_columns (names or 1-based positions) are flipped via
-    v -> max - v before normalization so that larger stays better.
+    v -> max - v before normalization so that larger stays better.  A
+    column named or numbered twice raises ValueError.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return _load_csv_stream(fh, normalize, negate_columns, str(path))
@@ -111,12 +112,17 @@ def _load_csv_stream(fh, normalize: bool, negate_columns, label: str) -> Dataset
     if not rows:
         raise ValueError(f"{label}: no data rows")
     values = np.asarray(rows, dtype=float)
+    cols: list[int] = []
     for spec in negate_columns:
         if isinstance(spec, str) and spec not in names:
             raise ValueError(f"{label}: negate column {spec!r} is not in the header")
         col = names.index(spec) if isinstance(spec, str) else int(spec) - 1
         if not 0 <= col < width:
             raise ValueError(f"{label}: negate column {spec!r} out of range")
+        cols.append(col)
+    for col in cols:
+        if cols.count(col) > 1:
+            raise ValueError(f"{label}: negate column {names[col]!r} is given more than once")
         values[:, col] = values[:, col].max() - values[:, col]
     if normalize:
         values = normalize_columns(values)

@@ -128,7 +128,7 @@ def _candidate_rows(D: Dataset, space, mode: str) -> np.ndarray:
     if mode == "all":
         return np.arange(D.n)
     if mode == "skyline":
-        return np.asarray(restricted_skyline(D, space).indices) - 1
+        return np.asarray(restricted_skyline(D, space)) - 1
     raise ValueError(f"unknown candidate mode {mode!r}")
 
 

@@ -1,4 +1,4 @@
-"""Candidate-set reduction: skyline, restricted skyline, and basis.
+"""Candidate-set reduction: skyline and restricted skyline.
 
 Any subset of the dataset can be replaced by a subset of the (restricted)
 skyline without increasing its worst-case rank-regret, so the solvers
@@ -12,28 +12,9 @@ a top K anywhere in the cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Dataset, RestrictedSpace
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    indices: tuple[int, ...]
-    kind: str  # "skyline" | "restricted-skyline" | "basis"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if self.kind not in ("skyline", "restricted-skyline", "basis"):
-            raise ValueError(f"unknown candidate-set kind {self.kind!r}")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
 
 
 # rows per step of the sort-filter: rows kept before a chunk are
@@ -135,27 +116,20 @@ def skyband(M: np.ndarray, K: int) -> np.ndarray:
     return _sort_filter(M, K, _outranks)
 
 
-def skyline(D: Dataset) -> CandidateSet:
-    """Tuples of D not Pareto-dominated by any other tuple."""
-    mask = frontier_mask(D.values)
-    return CandidateSet(tuple(np.flatnonzero(mask) + 1), "skyline")
+def skyline(D: Dataset) -> tuple[int, ...]:
+    """Sorted 1-based indices of the tuples of D not Pareto-dominated by
+    any other tuple."""
+    return tuple((np.flatnonzero(frontier_mask(D.values)) + 1).tolist())
 
 
-def restricted_skyline(D: Dataset, space: RestrictedSpace | None) -> CandidateSet:
-    """Tuples not dominated with respect to every vector of the cone.
+def restricted_skyline(D: Dataset, space: RestrictedSpace | None) -> tuple[int, ...]:
+    """Sorted 1-based indices of the tuples not dominated with respect to
+    every vector of the cone (None: the full space).
 
     Scores at the cone's extreme rays fully determine dominance over the
     cone, so the restricted skyline is the frontier of the n x (#rays)
-    ray-score matrix.  With the full space the rays are the coordinate
-    axes and this reduces to the plain skyline.
+    ray-score matrix.  The full space is the cone of the unit rays, whose
+    ray scores are the attributes themselves, exactly.
     """
-    if space is None or space.is_full:
-        return CandidateSet(skyline(D).indices, "restricted-skyline")
-    rays = space.extreme_rays(D.d)
-    mask = frontier_mask(D.values @ rays.T)
-    return CandidateSet(tuple(np.flatnonzero(mask) + 1), "restricted-skyline")
-
-
-def basis(D: Dataset) -> CandidateSet:
-    """One boundary tuple per attribute (value 1 after normalization)."""
-    return CandidateSet(D.basis_indices, "basis")
+    rays = (space or RestrictedSpace()).extreme_rays(D.d)
+    return tuple((np.flatnonzero(frontier_mask(D.values @ rays.T)) + 1).tolist())

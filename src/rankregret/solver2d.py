@@ -46,15 +46,12 @@ class DualLine:
     tuple_index: int
     intercept: float  # utility at u = (0, 1), i.e. the second attribute
     slope: float      # first attribute minus second attribute
-    is_skyline: bool
     skyline_ordinal: int | None  # 1-based position in slope-ascending skyline order
 
 
 def render_scene(space: RestrictedSpace | None) -> tuple[float, float]:
     """Image of the cone under u -> u[1]/(u[1]+u[2]): the swept x-interval."""
-    if space is None or space.is_full:
-        return (0.0, 1.0)
-    rays = space.extreme_rays(2)
+    rays = (space or RestrictedSpace()).extreme_rays(2)
     cs = rays[:, 0] / rays.sum(axis=1)
     return (float(cs.min()), float(cs.max()))
 
@@ -102,7 +99,7 @@ class _Form:
 
     @classmethod
     def of(cls, D: Dataset, space: RestrictedSpace | None) -> "_Form":
-        sky = [i - 1 for i in restricted_skyline(D, space).indices]
+        sky = [i - 1 for i in restricted_skyline(D, space)]
         return cls(D.values, render_scene(space), sky)
 
     def point(self, x: float, pm: int, pc: int) -> tuple[int, int] | None:
@@ -118,22 +115,20 @@ class _Form:
         the float x."""
         return 16.0 * _U * self._mag * (1.0 + np.abs(x))
 
-    def order(self, rows: np.ndarray, x: float, after: bool = False) -> np.ndarray:
-        """rows top to bottom at the point x (exact score, then row) or,
-        with ``after``, in the open cell just right of x (score at x, then
-        slope descending, then row)."""
+    def order(self, rows: np.ndarray, x: float) -> np.ndarray:
+        """rows top to bottom at the point x: exact score, then row."""
         # at the ends of [0, 1] the scores are the attributes themselves
         if x in (0.0, 1.0):
             y, tol = self.values[rows, 1 - int(x)], 0.0
         else:
             y, tol = self.b[rows] + self.s[rows] * x, float(self.tol(x))
-        idx = np.lexsort((rows, -self.s[rows], -y) if after else (rows, -y))
+        idx = np.lexsort((rows, -y))
         rows, y = rows[idx], y[idx]
-        if tol or after:
+        if tol:
             p, q = x.as_integer_ratio()
             for a, z in _runs(np.flatnonzero(y[:-1] - y[1:] > tol) + 1, rows.size):
-                rows[a:z] = sorted(rows[a:z].tolist(), key=lambda r: (
-                    -(self.B[r] * q + self.S[r] * p), -self.S[r] if after else 0, r))
+                rows[a:z] = sorted(rows[a:z].tolist(),
+                                   key=lambda r: (-(self.B[r] * q + self.S[r] * p), r))
         return rows
 
     @cached_property
@@ -227,17 +222,16 @@ def _own_ranks(form: _Form, lines: np.ndarray, members: np.ndarray, P: _Points) 
     """Rank of each member row (ascending) among ``lines`` at each of its
     own distinct points of ``form.points`` (lo, hi and its crossings),
     and in the open cell just right of each: row -> (own point numbers,
-    ranks at them, ranks right of them).
+    ranks at them, ranks right of them).  Right of hi, each member's last
+    point, lies outside the interval, so that cell's rank is 0.
 
-    The ranks at lo are exact (``_Form.order``) and carried through the
-    crossings: left of one the flatter line is above, at it the lower
-    row, right of it the steeper line.
+    The ranks at lo are exact (``_Form.order``) and carried through every
+    crossing, those at lo too: left of one the flatter line is above, at
+    it the lower row, right of it the steeper line.
     """
-    start = [np.argsort(np.searchsorted(lines, form.order(lines, form.lo, after))) + 1
-             for after in (False, True)]  # by column of lines: ranks at lo, right of lo
-    # (member, point, partner) per crossing right of lo, as the orders at
-    # lo count point 0, and (member, end, member) per end
-    k, ends = np.flatnonzero((P.pm >= 0) & (P.point > 0)), P.point[P.pm < 0]
+    at_lo = np.argsort(np.searchsorted(lines, form.order(lines, form.lo))) + 1
+    # (member, point, partner) per crossing and (member, end, member) per end
+    k, ends = np.flatnonzero(P.pm >= 0), P.point[P.pm < 0]
     m, c = (np.concatenate([u[k], v[k], np.repeat(members, ends.size)])
             for u, v in ((P.pm, P.pc), (P.pc, P.pm)))
     g = np.concatenate([P.point[k], P.point[k], np.tile(ends, members.size)])
@@ -255,10 +249,12 @@ def _own_ranks(form: _Form, lines: np.ndarray, members: np.ndarray, P: _Points) 
     m, g = np.divmod(key, P.rep.size)
     first = np.searchsorted(m, members)  # each member's point 0
     run = np.cumsum(d_right)
-    right = start[1][np.searchsorted(lines, m)] + run - run[first][np.searchsorted(members, m)]
+    # the rank just left of lo is the rank at lo less point 0's changes
+    left = at_lo[np.searchsorted(lines, members)] - d_at[first]
+    right = (left - run[first] + d_right[first])[np.searchsorted(members, m)] + run
     at = right - d_right + d_at
-    at[first] = start[0][np.searchsorted(lines, members)]
     cuts = np.searchsorted(m, members, side="right")
+    right[cuts - 1] = 0
     return {int(row): (g[a:z], at[a:z], right[a:z])
             for row, a, z in zip(members, np.concatenate([[0], cuts[:-1]]), cuts)}
 
@@ -271,8 +267,7 @@ def _set_ranks(form: _Form, lines: np.ndarray, groups):
     A point with pm >= 0 belongs to those of pm and pc that are members,
     one with pm < 0 to every member.  A member's rank changes only at its
     own points, so it is ranked there and carried to the points between;
-    a group ranks as its best member.  The last point must be hi, so no
-    cell of the interval lies right of it, and its cell rank is 0.
+    a group ranks as its best member, and 0 in the cell right of hi.
     Returns the points' floats and two (len(groups), points) arrays.
     """
     members = np.unique(np.concatenate(groups))
@@ -287,7 +282,6 @@ def _set_ranks(form: _Form, lines: np.ndarray, groups):
             last = np.searchsorted(own, every, side="right") - 1
             np.minimum(at[g], np.where(own[last] == every, m_at[last], m_right[last]), out=at[g])
             np.minimum(right[g], m_right[last], out=right[g])
-    right[:, -1] = 0
     return P.x[P.rep], at, right
 
 
@@ -314,24 +308,16 @@ def exact_chain_rank(S, D: Dataset, interval: tuple[float, float] = (0.0, 1.0)) 
 
 
 def dualize(D: Dataset, space: RestrictedSpace | None = None) -> list[DualLine]:
-    """Dual lines of all tuples, listed in their top-to-bottom order just
-    right of the start of the swept interval (descending second attribute
-    for the full space).  Skyline flags and ordinals refer to the
-    restricted skyline."""
+    """Dual lines of all tuples, listed in their exact top-to-bottom order
+    at the start of the swept interval, ties to the lower index (for the
+    full space: descending second attribute).  Skyline ordinals refer to
+    the restricted skyline and are None off it."""
     if D.d != 2:
         raise ValueError("the dual transform requires d = 2")
     form = _Form.of(D, space)
     ordinal = {row: pos + 1 for pos, row in enumerate(form.sky.tolist())}
-    return [
-        DualLine(
-            tuple_index=row + 1,
-            intercept=float(form.b[row]),
-            slope=float(form.s[row]),
-            is_skyline=row in ordinal,
-            skyline_ordinal=ordinal.get(row),
-        )
-        for row in form.order(np.arange(D.n), form.lo, after=True).tolist()
-    ]
+    return [DualLine(row + 1, float(form.b[row]), float(form.s[row]), ordinal.get(row))
+            for row in form.order(np.arange(D.n), form.lo).tolist()]
 
 
 def _band(form: _Form, K: int) -> np.ndarray:
@@ -435,8 +421,6 @@ def _sweep(form: _Form, band: np.ndarray, r: int):
     P = form.points(band, members)
     ranks = _own_ranks(form, band, members, P)
     own, at, cell = ([ranks[row][i].tolist() for row in sky] for i in range(3))
-    for c in cell:
-        c[-1] = 0  # right of hi lies outside the interval
     ordinal = {row: o for o, row in enumerate(sky)}
     cross = np.flatnonzero(P.pm >= 0)
     meets: dict[int, dict[int, set[int]]] = {}  # point -> line -> lines meeting there

@@ -29,7 +29,6 @@ import numpy as np
 from .core import (Dataset, RegretResult, RestrictedSpace, _canonical, _canonical_at,
                    _cell_candidates, _key_slack, _score_blocks, _set_best, _set_rows,
                    min_ranks_for_vectors)
-from .skyline import basis
 
 SAMPLE_CAP = 1_000_000
 
@@ -173,9 +172,8 @@ def filter_grid(grid: np.ndarray, space: RestrictedSpace | None) -> np.ndarray:
     Membership of a cone is scale invariant, so the unit-norm vectors are
     tested directly against the halfspaces, exactly and tolerance-free.
     """
-    if space is None or space.is_full:
-        return np.asarray(grid, dtype=float)
-    return grid[space.membership_mask(grid)]
+    grid = np.asarray(grid, dtype=float)
+    return grid[(space or RestrictedSpace()).membership_mask(grid)]
 
 
 def sample_sphere(d: int, m: int, seed: int,
@@ -221,9 +219,7 @@ class Discretization:
     vectors: np.ndarray
     grid_part: np.ndarray
     sample_part: np.ndarray
-    gamma: int
     m: int
-    seed: int
 
     @property
     def size(self) -> int:
@@ -236,7 +232,7 @@ def build_discretization(d: int, gamma: int, m: int, seed: int,
     grid = dedup_vectors(filter_grid(polar_grid(d, gamma), space))
     samples = sample_sphere(d, m, seed, space) if m > 0 else np.empty((0, d))
     vectors = np.vstack([grid, samples]) if samples.size else grid
-    return Discretization(vectors, grid, samples, gamma, m, seed)
+    return Discretization(vectors, grid, samples, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +245,6 @@ class CoverStructure:
 
     uncovered_ids: np.ndarray
     cover_sets: dict[int, np.ndarray]
-    k: int
 
 
 def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.ndarray:
@@ -371,7 +366,7 @@ def build_cover(D: Dataset, k: int, basis_indices, disc: Discretization) -> Cove
         bounds = np.append(starts, flat_t.size)
         for i, row in enumerate(tuples):
             cover_sets[int(row) + 1] = flat_u[bounds[i]:bounds[i + 1]]
-    return CoverStructure(uncovered_ids, cover_sets, k)
+    return CoverStructure(uncovered_ids, cover_sets)
 
 
 def greedy_min_superset(D: Dataset, k: int, basis_indices,
@@ -429,10 +424,9 @@ class _HdInstance:
             raise ValueError(f"budget r={params.r} exceeds the dataset size {n}")
         if params.r < d:
             raise ValueError(f"budget r={params.r} cannot fit the basis (r >= d={d} required)")
-        stop = basis(D).indices
         disc = build_discretization(d, params.gamma, params.sample_size(n, d),
                                     params.seed, space)
-        return cls(D, disc, stop, n if cap is None else cap)
+        return cls(D, disc, D.basis_indices, n if cap is None else cap)
 
     @property
     def order_width(self) -> int:

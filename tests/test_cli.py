@@ -205,6 +205,13 @@ class TestEval:
         code, _, err = run(["eval", "--input", demo_csv, "--set", "1", "--negate", "2"])
         assert code == 2 and "negate column '2' is not in the header" in err
 
+    def test_negate_column_twice_is_an_error(self, demo_csv):
+        # not flipped back, which would load the column as if never negated
+        code, out, err = run(["solve", "--algo", "2d", "--r", "1", "--input", demo_csv,
+                              "--negate", "A1", "A1"])
+        assert code == 2 and out == ""
+        assert f"{demo_csv}: negate column 'A1' is given more than once" in err
+
 
 class TestGen:
     def test_writes_csv(self, tmp_path):

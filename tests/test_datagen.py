@@ -116,6 +116,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=f"neg.csv: negate column '{spec}' is not in"):
             load_csv(p, negate_columns=[spec])
 
+    @pytest.mark.parametrize("specs", [["price", "price"], ["price", 1]])
+    def test_negate_column_given_twice(self, tmp_path, specs):
+        # a second mention used to flip the column back
+        p = tmp_path / "neg.csv"
+        p.write_text("price,quality\n10,0.2\n30,1\n20,0.6\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="neg.csv: negate column 'price' is given more"):
+            load_csv(p, negate_columns=specs)
+
     def test_ragged_row_diagnostic(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n3\n", encoding="utf-8")

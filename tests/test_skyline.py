@@ -57,56 +57,54 @@ def sampled_dominance_skyline(D, space, extra_rays, samples=10_000, seed=0) -> s
 
 class TestSkyline:
     def test_demo_skyline(self, demo7):
-        assert rr.skyline(demo7).indices == (1, 2, 3, 4, 7)
+        assert rr.skyline(demo7) == (1, 2, 3, 4, 7)
 
     def test_singleton(self):
         D = rr.Dataset([[1.0, 1.0]])
-        assert rr.skyline(D).indices == (1,)
+        assert rr.skyline(D) == (1,)
 
     def test_matches_pairwise_oracle_2d(self):
         D = random_dataset(30, 2, seed=3)
-        assert set(rr.skyline(D).indices) == pairwise_dominance_skyline(D.values)
+        assert set(rr.skyline(D)) == pairwise_dominance_skyline(D.values)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_matches_pairwise_oracle_hd(self, d):
         D = random_dataset(25, d, seed=d)
-        assert set(rr.skyline(D).indices) == pairwise_dominance_skyline(D.values)
+        assert set(rr.skyline(D)) == pairwise_dominance_skyline(D.values)
 
     def test_duplicates_keep_lowest_index(self):
         D = rr.Dataset([[0.5, 0.5], [0.5, 0.5], [0.2, 0.1]], normalized=False)
-        assert rr.skyline(D).indices == (1,)
+        assert rr.skyline(D) == (1,)
 
     def test_idempotent(self):
         D = random_dataset(40, 2, seed=9)
         first = rr.skyline(D)
-        restricted = rr.Dataset(D.values[np.asarray(first.indices) - 1],
+        restricted = rr.Dataset(D.values[np.asarray(first) - 1],
                                 normalized=False)
         again = rr.skyline(restricted)
         assert len(again) == len(first)
         assert np.array_equal(
-            restricted.values[np.asarray(again.indices) - 1],
-            D.values[np.asarray(first.indices) - 1],
+            restricted.values[np.asarray(again) - 1],
+            D.values[np.asarray(first) - 1],
         )
 
 
 class TestRestrictedSkyline:
     def test_full_space_equals_skyline(self, demo7):
         full = rr.restricted_skyline(demo7, rr.RestrictedSpace.full())
-        assert full.indices == rr.skyline(demo7).indices
-        assert full.kind == "restricted-skyline"
-        none = rr.restricted_skyline(demo7, None)
-        assert none.indices == full.indices
+        assert full == rr.skyline(demo7) == (1, 2, 3, 4, 7)
+        assert rr.restricted_skyline(demo7, None) == full
 
     def test_demo_halfplane_matches_sampled_oracle(self, demo7):
         space = rr.RestrictedSpace(((1.0, -1.0),))
-        got = set(rr.restricted_skyline(demo7, space).indices)
+        got = set(rr.restricted_skyline(demo7, space))
         want = sampled_dominance_skyline(demo7, space, [(1.0, 0.0), (1.0, 1.0)])
         assert got == want
 
     def test_weak_ranking_3d_matches_sampled_oracle(self):
         D = random_dataset(20, 3, seed=17)
         space = rr.RestrictedSpace.weak_ranking(3)
-        got = set(rr.restricted_skyline(D, space).indices)
+        got = set(rr.restricted_skyline(D, space))
         want = sampled_dominance_skyline(D, space, space.extreme_rays())
         assert got == want
 
@@ -114,33 +112,53 @@ class TestRestrictedSkyline:
         space = rr.RestrictedSpace(((1.0, -2.0),))
         for seed in range(5):
             D = random_dataset(25, 2, seed=seed)
-            assert set(rr.restricted_skyline(D, space).indices) <= set(
-                rr.skyline(D).indices)
+            assert set(rr.restricted_skyline(D, space)) <= set(
+                rr.skyline(D))
+
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_full_space_is_an_ordinary_cone(self, d):
+        # u1 >= 0 is redundant, so this one-halfspace cone is the full
+        # space, and each layer must answer for it as for None
+        D = rr.generate(rr.GenSpec("anti-correlated", 80, d, seed=d))
+        D = rr.Dataset(np.round(D.values, 1))
+        cone = rr.RestrictedSpace(((1.0,) + (0.0,) * (d - 1),))
+        assert rr.restricted_skyline(D, None) == rr.restricted_skyline(D, cone)
+        G = rr.polar_grid(d, 4)
+        assert np.array_equal(rr.filter_grid(G, None), rr.filter_grid(G, cone))
+        if d == 2:
+            assert rr.render_scene(None) == rr.render_scene(cone) == (0.0, 1.0)
+            pair = [rr.solve_rrm_2d(D, 3, space) for space in (None, cone)]
+        else:
+            params = rr.HdParams(r=d + 1, m=200, seed=3)
+            pair = [rr.solve_rrm_hd(D, params, space) for space in (None, cone)]
+        full, coned = (dict(res.to_json_dict(), params={
+            k: v for k, v in res.solver_params.items() if k != "halfspaces"}) for res in pair)
+        assert full == coned
 
 
 class TestBasis:
     def test_demo_basis(self, demo7):
-        assert rr.basis(demo7).indices == (1, 7)
-        assert rr.basis(demo7).kind == "basis"
+        assert demo7.basis_indices == (1, 7)
 
     def test_all_ones_tuple_listed_once(self):
         D = rr.Dataset([[1.0, 1.0, 1.0]])
-        assert rr.basis(D).indices == (1,)
+        assert D.basis_indices == (1,)
 
     def test_every_attribute_attains_one(self):
         vals = np.random.default_rng(5).random((40, 3))
         from rankregret.datagen import normalize_columns
         D = rr.Dataset(normalize_columns(vals))
-        b = rr.basis(D)
+        b = D.basis_indices
         col_max_rows = {int(np.argmax(D.values[:, j])) + 1 for j in range(3)}
-        assert set(b.indices) == col_max_rows
+        assert set(b) == col_max_rows
         for j in range(3):
-            assert any(D.values[i - 1, j] >= 1 - 1e-9 for i in b.indices)
+            assert any(D.values[i - 1, j] >= 1 - 1e-9 for i in b)
 
     def test_unnormalized_rejected(self):
         D = rr.Dataset([[2.0, 3.0], [4.0, 5.0]], normalized=False)
         with pytest.raises(ValueError):
-            rr.basis(D)
+            D.basis_indices
 
 
 class TestCandidateReduction:
@@ -165,7 +183,7 @@ class TestCandidateReduction:
     def test_sky_subset_replacement_exists(self):
         # for every small set there is a no-worse skyline subset
         D = random_dataset(12, 2, seed=300)
-        sky = set(rr.skyline(D).indices)
+        sky = set(rr.skyline(D))
         best_by_size = {}
         for r in (1, 2):
             rep = rr.exhaustive_rrm(D, r, mode="skyline")
@@ -183,11 +201,11 @@ def test_frontiers_match_pairwise_dominance_with_duplicates(data, d):
     dup = data.draw(st.lists(st.sampled_from(rows), max_size=5))
     vals = np.asarray(data.draw(st.permutations(rows + dup)), dtype=float)
     D = rr.Dataset(vals, normalized=False)
-    assert set(rr.skyline(D).indices) == pairwise_dominance_skyline(vals)
+    assert set(rr.skyline(D)) == pairwise_dominance_skyline(vals)
     # the weak-ranking cone u1 >= ... >= ud >= 0 is spanned by the prefix
     # indicator vectors, so restricted dominance is dominance of their scores
     rays = np.tril(np.ones((d, d)))
-    got = rr.restricted_skyline(D, rr.RestrictedSpace.weak_ranking(d)).indices
+    got = rr.restricted_skyline(D, rr.RestrictedSpace.weak_ranking(d))
     assert set(got) == pairwise_dominance_skyline(vals @ rays.T)
 
 

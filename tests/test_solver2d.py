@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankregret as rr
-from rankregret.solver2d import _band, _Form, _sweep, _verified_chain, _worst_rank
+from rankregret.solver2d import (_band, _Form, _set_ranks, _sweep, _verified_chain,
+                                  _worst_rank)
 
 from conftest import dual_order, random_dataset, traced_peak
 
@@ -16,14 +17,14 @@ class TestDualize:
     def test_demo_order_and_flags(self, demo7):
         lines = rr.dualize(demo7)
         assert [l.tuple_index for l in lines] == [1, 2, 3, 4, 5, 6, 7]
-        flags = {l.tuple_index: l.is_skyline for l in lines}
-        assert {t for t, f in flags.items() if f} == {1, 2, 3, 4, 7}
+        ordinals = {l.skyline_ordinal: l.tuple_index for l in lines
+                    if l.skyline_ordinal is not None}
+        assert set(ordinals.values()) == {1, 2, 3, 4, 7}
         # the fifth skyline line (slope order) is the line of t7
-        ordinals = {l.skyline_ordinal: l.tuple_index for l in lines if l.is_skyline}
         assert ordinals[5] == 7
 
     def test_skyline_slopes_strictly_ascend(self, demo7):
-        lines = [l for l in rr.dualize(demo7) if l.is_skyline]
+        lines = [l for l in rr.dualize(demo7) if l.skyline_ordinal is not None]
         lines.sort(key=lambda l: l.skyline_ordinal)
         slopes = [l.slope for l in lines]
         assert all(a < b for a, b in zip(slopes, slopes[1:]))
@@ -35,7 +36,7 @@ class TestDualize:
     def test_single_tuple(self):
         D = rr.Dataset([[1.0, 1.0]])
         lines = rr.dualize(D)
-        assert len(lines) == 1 and lines[0].is_skyline
+        assert len(lines) == 1 and lines[0].skyline_ordinal == 1
         assert rr.exact_chain_rank([1], D) == 1
 
     def test_requires_2d(self):
@@ -120,7 +121,7 @@ class TestSolveRrm2d:
 
     def test_selection_is_skyline_subset(self, demo7):
         res = rr.solve_rrm_2d(demo7, 2)
-        assert set(res.selected_indices) <= set(rr.skyline(demo7).indices)
+        assert set(res.selected_indices) <= set(rr.skyline(demo7))
         assert res.size <= 2
 
     def test_value_attained_by_selection(self):
@@ -226,7 +227,7 @@ class TestSweepInternals:
         lo, hi = (Fraction(x) for x in rr.render_scene(space))
         for seed in range(1100, 1104):
             D = random_dataset(14, 2, seed=seed)
-            sky = {i - 1 for i in rr.restricted_skyline(D, space).indices}
+            sky = {i - 1 for i in rr.restricted_skyline(D, space)}
             lines = [(Fraction(v1), Fraction(v0) - Fraction(v1))
                      for v0, v1 in D.values.tolist()]
             want = sum(1 for (i, (bi, si)), (j, (bj, sj))
@@ -360,7 +361,7 @@ def test_tied_data_returns_verified_values_or_raises(data, weak):
     try:
         res = rr.solve_rrr_2d(D, k, space)
     except ValueError:
-        sky = rr.restricted_skyline(D, space).indices
+        sky = rr.restricted_skyline(D, space)
         assert rr.exact_chain_rank(sky, D, interval) > k
     else:
         assert res.rank_regret == rr.exact_chain_rank(res.selected_indices, D, interval)
@@ -443,7 +444,7 @@ def test_tied_data_matches_fraction_oracle(data, weak):
     D = rr.Dataset(_tied_values(data), normalized=False)
     space = rr.RestrictedSpace.weak_ranking(2) if weak else None
     interval = rr.render_scene(space)
-    sky = [i - 1 for i in rr.restricted_skyline(D, space).indices]
+    sky = [i - 1 for i in rr.restricted_skyline(D, space)]
     S = data.draw(st.lists(st.integers(0, D.n - 1), min_size=1, max_size=3, unique=True))
     prof = _fraction_profiles(D.values, sorted(set(sky) | set(S)), interval)
 
@@ -476,6 +477,37 @@ def test_tied_data_matches_fraction_oracle(data, weak):
         res = rr.solve_rrr_2d(D, k, space)
         assert res.size == size
         assert res.rank_regret == worst([i - 1 for i in res.selected_indices]) <= k
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), lo=st.integers(0, 2))
+def test_carried_ranks_match_fraction_oracle_point_by_point(data, lo):
+    # tied lines often meet exactly at lo in {0, 1/4, 1/2}, where the rank
+    # at lo is carried through the crossing like any later one; each row
+    # alone, at each of its points and then in the cell right of each
+    D = rr.Dataset(_tied_values(data), normalized=False)
+    interval = (lo / 4, data.draw(st.integers(lo, 4)) / 4)
+    form = _Form(D.values, interval)
+    for m in range(D.n):
+        _, at, right = _set_ranks(form, np.arange(D.n), [np.array([m])])
+        want = _fraction_profiles(D.values, [m], interval)[m]
+        assert at[0].tolist() + right[0, :-1].tolist() == want
+        assert right[0, -1] == 0  # right of hi lies outside the interval
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)),
+                     min_size=1, max_size=12))
+def test_dualize_lists_the_exact_order_at_lo(rows):
+    # one-decimal lines tie often at x = 0, where the lower index goes first
+    D = rr.Dataset(np.asarray(rows, dtype=float) / 10.0, normalized=False)
+    lines = rr.dualize(D)
+    assert [l.tuple_index for l in lines] == rr.top_k((0.0, 1.0), D.n, D)
+    sky = sorted((l for l in lines if l.skyline_ordinal is not None),
+                 key=lambda l: l.skyline_ordinal)
+    assert sorted(l.tuple_index for l in sky) == list(rr.restricted_skyline(D, None))
+    assert [l.skyline_ordinal for l in sky] == list(range(1, len(sky) + 1))
+    assert all(a.slope < b.slope for a, b in zip(sky, sky[1:]))
 
 
 def test_middle_line_of_a_concurrent_point():
