@@ -285,8 +285,6 @@ def cmd_eval(args) -> int:
     if "regret-ratio" in metrics:
         payload["max_regret_ratio"] = evaluate.max_regret_ratio(
             S, D, args.samples, seed, space)
-        if not D.normalized:
-            payload["normalized_input"] = False
     _emit_json(payload, args.out)
     return 0
 
@@ -331,8 +329,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, IndexError, OSError, json.JSONDecodeError,
-            oracle.GuardExceededError, solverhd.ConeSamplingError) as exc:
+    except (ValueError, IndexError, OSError, oracle.GuardExceededError,
+            solverhd.ConeSamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

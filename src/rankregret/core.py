@@ -570,25 +570,31 @@ def _cell_candidates(V: np.ndarray, X: np.ndarray, keep=None, pick=None, K=None)
                 yield groups[i], np.flatnonzero(row)
 
 
-def _candidate_blocks(D: Dataset, V: np.ndarray, rows: np.ndarray, pick: np.ndarray):
+def _candidate_blocks(D: Dataset, V: np.ndarray, rows, pick, K=None):
     """Yield ``(ids, cand, keys)``: utility rows ``ids`` of V, the sorted
-    0-based tuples ``cand`` that can reach the best score of the set
-    ``rows`` at those rows, and their BLAS keys ``V[ids] @ X[cand].T``.
+    0-based tuples ``cand`` that ``_cell_candidates`` keeps for their
+    direction cell, and their BLAS keys ``V[ids] @ X[cand].T``.
 
-    The candidates are those of ``_cell_candidates`` against the set, with
-    ``pick`` each row's best member: a dropped tuple scores strictly below
+    ``rows``, ``pick`` and K go to ``_cell_candidates`` as its stop set,
+    each row's best stop tuple and its floor.  Against a set ``rows`` with
+    ``pick`` each row's best member, a dropped tuple scores strictly below
     its cell's pivot member, so below the set's best, at every row of the
-    cell, canonically and by key.  The rows of the set are always kept.
-    Each yielded block holds at most ``_BLOCK_CELLS`` keys (one row when
-    the candidates alone exceed it).
+    cell, canonically and by key; the rows of the set are always kept.
+
+    A block of keys is cut by ``_score_blocks`` at ``_BLOCK_CELLS`` cells
+    (one row when a row alone exceeds it).  Without K a row is its |cand|
+    keys.  With K it is |cand| + 3 min(K, |cand|) cells: a caller that
+    selects the top K holds a row's keys and either their partition (16
+    bytes per key) or about six K-wide arrays (48K bytes), so a block's
+    peak stays near 16 * ``_BLOCK_CELLS`` bytes for every K and the memory
+    of a solve does not depend on how deep its thresholds go.
     """
     X = D.values
-    for ids, cand in _cell_candidates(V, X, rows, pick):
+    for ids, cand in _cell_candidates(V, X, rows, pick, K):
         XcT = X[cand].T
-        step = max(1, _BLOCK_CELLS // cand.size)
-        for at in range(0, ids.size, step):
-            sub = ids[at:at + step]
-            yield sub, cand, V[sub] @ XcT
+        width = cand.size if K is None else cand.size + 3 * min(K, cand.size)
+        for sl, keys in _score_blocks(lambda sl: V[ids[sl]] @ XcT, ids.size, width):
+            yield ids[sl], cand, keys
 
 
 def min_ranks_for_vectors(D: Dataset, vectors: np.ndarray, S: Iterable[int]) -> np.ndarray:

@@ -84,31 +84,29 @@ def load_csv(path, normalize: bool = True, negate_columns=()) -> Dataset:
 
     negate_columns (names or 1-based positions) are flipped via
     v -> max - v before normalization so that larger stays better.  A
-    column named or numbered twice raises ValueError.
+    column named or numbered twice, or a name the header gives to more
+    than one column, raises ValueError.
     """
+    label = str(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _load_csv_stream(fh, normalize, negate_columns, str(path))
-
-
-def _load_csv_stream(fh, normalize: bool, negate_columns, label: str) -> Dataset:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{label}: empty file") from None
-    names = tuple(h.strip() for h in header)
-    width = len(names)
-    if width < 2:
-        raise ValueError(f"{label}: need at least 2 columns, header has {width}")
-    rows: list[list[float]] = []
-    for r, rec in enumerate(reader, start=1):
-        if not rec:
-            continue
-        if len(rec) != width:
-            raise ValueError(
-                f"{label}: ragged row {r} has {len(rec)} cells, expected {width}"
-            )
-        rows.append([_parse_cell(c, r, j + 1) for j, c in enumerate(rec)])
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{label}: empty file") from None
+        names = tuple(h.strip() for h in header)
+        width = len(names)
+        if width < 2:
+            raise ValueError(f"{label}: need at least 2 columns, header has {width}")
+        rows: list[list[float]] = []
+        for r, rec in enumerate(reader, start=1):
+            if not rec:
+                continue
+            if len(rec) != width:
+                raise ValueError(
+                    f"{label}: ragged row {r} has {len(rec)} cells, expected {width}"
+                )
+            rows.append([_parse_cell(c, r, j + 1) for j, c in enumerate(rec)])
     if not rows:
         raise ValueError(f"{label}: no data rows")
     values = np.asarray(rows, dtype=float)
@@ -116,6 +114,9 @@ def _load_csv_stream(fh, normalize: bool, negate_columns, label: str) -> Dataset
     for spec in negate_columns:
         if isinstance(spec, str) and spec not in names:
             raise ValueError(f"{label}: negate column {spec!r} is not in the header")
+        if isinstance(spec, str) and names.count(spec) > 1:
+            raise ValueError(f"{label}: negate column {spec!r} is ambiguous: "
+                             f"{names.count(spec)} header columns have that name")
         col = names.index(spec) if isinstance(spec, str) else int(spec) - 1
         if not 0 <= col < width:
             raise ValueError(f"{label}: negate column {spec!r} out of range")

@@ -10,9 +10,9 @@ from one descending order prefix, exact up to each vector's first basis
 tuple: beyond it the cover never reads, as a vector with a basis tuple in
 its top-k is already covered.  The prefix is built per direction cell
 over the tuples that can reach the cell's top K and can outscore one
-basis tuple, the cell's pivot, at some row (threshold-algorithm bounds,
-``core._cell_candidates``).  For
-a size budget r, a doubling-plus-binary search finds the smallest
+basis tuple, the cell's pivot, at some row (threshold-algorithm bounds),
+keyed in the blocks of ``core._candidate_blocks`` as the rank kernel is.
+For a size budget r, a doubling-plus-binary search finds the smallest
 threshold k whose cover fits r.  For a threshold k, the greedy cover at k
 bounds the size, and the same search, capped at k, then tries each
 smaller budget in turn.
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Dataset, RegretResult, RestrictedSpace, _canonical, _canonical_at,
-                   _cell_candidates, _key_slack, _score_blocks, _set_best, _set_rows,
-                   min_ranks_for_vectors)
+                   _candidate_blocks, _key_slack, _set_best, _set_rows, min_ranks_for_vectors)
 
 SAMPLE_CAP = 1_000_000
 
@@ -256,7 +255,7 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
     are filler; a row with no stop tuple in its first K places is exact
     in all of them.
 
-    Per direction cell only the tuples that ``core._cell_candidates``
+    Per direction cell only the tuples that ``core._candidate_blocks``
     keeps are keyed.  Its floor test drops the tuples below the cell's
     K-th largest lower bound: K tuples score at least that at every row
     of the cell, so no other tuple is in any row's top K.  Its pivot test
@@ -283,50 +282,38 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
     keep = _set_rows(stop, D.n) if len(stop) else None
     pick = None if keep is None else _set_best(D, V, keep)[1]
     out = np.empty((V.shape[0], K), dtype=np.int32)
-    for ids, cand in _cell_candidates(V, X, keep, pick, K):
-        Xc = X[cand]
+    for at, cand, neg in _candidate_blocks(D, V, keep, pick, K):
+        np.negative(neg, out=neg)
         Kc = min(K, cand.size)
-
-        def negated_keys(sl):
-            block = V[ids[sl]] @ Xc.T
-            return np.negative(block, out=block)
-
-        # A block row holds its keys and either their partition (16 bytes
-        # per key) or about six K-wide arrays (48K bytes).  Sizing blocks on
-        # cand + 3K cells keeps a block's peak near 16 * _BLOCK_CELLS bytes
-        # for every K, so the memory of a solve does not depend on how deep
-        # its thresholds go.
-        for sl, neg in _score_blocks(negated_keys, ids.size, cand.size + 3 * Kc):
-            at = ids[sl]
-            if Kc < cand.size:
-                # column Kc of the partition holds the (Kc+1)-th key; int32
-                # indices keep the working set small when K is close to n
-                part = np.argpartition(neg, Kc, axis=1)
-                after = _take_rows(neg, part[:, Kc:Kc + 1])[:, 0]
-                top = part[:, :Kc].astype(np.int32)
-            else:
-                # every candidate is in the prefix and none can spill
-                after = np.full(neg.shape[0], np.inf)
-                top = np.broadcast_to(np.arange(Kc, dtype=np.int32), neg.shape)
-            top_neg = _take_rows(neg, top)
-            pos = np.argsort(top_neg, axis=1)
-            rows = _take_rows(top, pos)
-            sorted_neg = _take_rows(top_neg, pos)
-            gap = near[at, None]
-            close = np.flatnonzero((np.diff(sorted_neg, axis=1) <= gap).any(axis=1))
-            if close.size:
-                by_index = np.sort(top[close], axis=1)
-                score = _canonical_at(V, Xc, at[close, None], by_index)
-                rows[close] = _take_rows(by_index, np.argsort(-score, axis=1, kind="stable"))
-            spill = np.flatnonzero(after <= sorted_neg[:, Kc - 1] + gap[:, 0])
-            if spill.size:
-                score = _canonical(V[at[spill]], Xc)
-                rows[spill] = np.argsort(-score, axis=1, kind="stable")[:, :Kc]
-            out[at, :Kc] = cand[rows]
-            if Kc < K:
-                # all candidates are sorted, each row's first stop tuple
-                # among them; the rest of the row is filler
-                out[at, Kc:] = out[at, Kc - 1:Kc]
+        if Kc < cand.size:
+            # column Kc of the partition holds the (Kc+1)-th key; int32
+            # indices keep the working set small when K is close to n
+            part = np.argpartition(neg, Kc, axis=1)
+            after = _take_rows(neg, part[:, Kc:Kc + 1])[:, 0]
+            top = part[:, :Kc].astype(np.int32)
+        else:
+            # every candidate is in the prefix and none can spill
+            after = np.full(neg.shape[0], np.inf)
+            top = np.broadcast_to(np.arange(Kc, dtype=np.int32), neg.shape)
+        top_neg = _take_rows(neg, top)
+        pos = np.argsort(top_neg, axis=1)
+        rows = _take_rows(top, pos)
+        sorted_neg = _take_rows(top_neg, pos)
+        gap = near[at, None]
+        close = np.flatnonzero((np.diff(sorted_neg, axis=1) <= gap).any(axis=1))
+        if close.size:
+            by_index = np.sort(top[close], axis=1)
+            score = _canonical_at(V, X, at[close, None], cand[by_index])
+            rows[close] = _take_rows(by_index, np.argsort(-score, axis=1, kind="stable"))
+        spill = np.flatnonzero(after <= sorted_neg[:, Kc - 1] + gap[:, 0])
+        if spill.size:
+            score = _canonical(V[at[spill]], X[cand])
+            rows[spill] = np.argsort(-score, axis=1, kind="stable")[:, :Kc]
+        out[at, :Kc] = cand[rows]
+        if Kc < K:
+            # all candidates are sorted, each row's first stop tuple
+            # among them; the rest of the row is filler
+            out[at, Kc:] = out[at, Kc - 1:Kc]
     return out
 
 
@@ -472,18 +459,19 @@ class _HdInstance:
         return self.covers[k]
 
 
-def _search(inst: _HdInstance, r: int, cap: int) -> tuple[int, tuple[int, ...]] | None:
-    """Smallest threshold up to cap whose greedy cover on the instance fits
-    budget r, as (threshold, cover); None when the cover at cap does not fit.
+def _search(inst: _HdInstance, r: int) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest threshold up to the instance's cap whose greedy cover fits
+    budget r, as (threshold, cover); None when the cover at the cap does
+    not fit.
 
     Doubles the threshold from 1 until a cover fits, then binary-searches
     the range above the last threshold that did not.
     """
     k, prev_fail = 1, 0
     while len(inst.cover(k)) > r:
-        if k >= cap:
+        if k >= inst.cap:
             return None
-        prev_fail, k = k, min(2 * k, cap)
+        prev_fail, k = k, min(2 * k, inst.cap)
     lo, hi = prev_fail + 1, k
     while lo < hi:
         mid = (lo + hi) // 2
@@ -548,7 +536,7 @@ def solve_rrm_hd(D: Dataset, params: HdParams,
     ``rank_regret_of_set(vector, S, D)`` re-checks that number.
     """
     inst = _HdInstance.for_solve(D, params, space)
-    found = _search(inst, params.r, D.n)
+    found = _search(inst, params.r)
     if found is None:
         raise AssertionError("threshold n must always fit: basis covers everything")
     return _result(inst, params, space, params.r, *found)
@@ -577,7 +565,7 @@ def solve_rrr_hd(D: Dataset, k: int, params: HdParams,
     inst = _HdInstance.for_solve(D, params, space, cap=k)
     r, best = len(inst.cover(k)), None
     while r >= len(inst.basis):
-        found = _search(inst, r, k)
+        found = _search(inst, r)
         if found is None:
             break
         best, r = found, len(found[1]) - 1

@@ -196,6 +196,10 @@ class TestEval:
         code, out, err = run(["eval", "--input", demo_csv, "--set", "1,5..3"])
         assert code == 1 and out == "" and "usage error" in err and "'5..3'" in err
 
+    def test_empty_set_usage_error(self, demo_csv):
+        code, out, err = run(["eval", "--input", demo_csv, "--set", ","])
+        assert code == 1 and out == "" and "empty index set" in err
+
     def test_malformed_ks_usage_error(self, demo_csv):
         code, _, err = run(["eval", "--input", demo_csv, "--set", "1",
                             "--metrics", "ratk", "--ks", "a"])
@@ -211,6 +215,13 @@ class TestEval:
                               "--negate", "A1", "A1"])
         assert code == 2 and out == ""
         assert f"{demo_csv}: negate column 'A1' is given more than once" in err
+
+    def test_negate_name_the_header_repeats_is_an_error(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text("a,a\n1,4\n2,5\n3,6\n", encoding="utf-8")
+        code, out, err = run(["eval", "--input", str(p), "--set", "1", "--negate", "a"])
+        assert code == 2 and out == ""
+        assert f"{p}: negate column 'a' is ambiguous" in err
 
 
 class TestGen:
@@ -236,6 +247,11 @@ class TestGen:
         _, b, _ = run(["gen", "--family", "independent", "--n", "5", "--d", "2"])
         assert a != b
 
+    def test_malformed_env_seed_usage_error(self, monkeypatch):
+        monkeypatch.setenv("RRK_SEED", "abc")
+        code, out, err = run(["gen", "--family", "independent", "--n", "5", "--d", "2"])
+        assert code == 1 and out == "" and "RRK_SEED must be an integer" in err
+
 
 class TestOracle:
     def test_arc_mode(self):
@@ -252,6 +268,21 @@ class TestOracle:
         data = json.loads(out)
         assert data["optimal_value"] == 3
         assert data["optimal_sets"] == [[3]]
+
+    def test_exhaustive_mode_sampled_d3(self, tmp_path):
+        target = str(tmp_path / "d3.csv")
+        run(["gen", "--family", "independent", "--n", "12", "--d", "3", "--seed", "5",
+             "--out", target])
+        code, out, _ = run(["oracle", "--mode", "exhaustive", "--input", target, "--r", "2",
+                            "--samples", "2000", "--seed", "3"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["method"] == "exhaustive-sampled"
+        assert (data["samples"], data["seed"]) == (2000, 3)
+
+    def test_exhaustive_requires_input(self):
+        code, out, err = run(["oracle", "--mode", "exhaustive", "--r", "2"])
+        assert code == 1 and out == "" and "exhaustive mode requires --input" in err
 
     def test_guard_exits_2(self):
         code, _, err = run(["oracle", "--mode", "arc", "--n", "400", "--r", "5"])

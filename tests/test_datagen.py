@@ -124,6 +124,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="neg.csv: negate column 'price' is given more"):
             load_csv(p, negate_columns=specs)
 
+    def test_negate_name_the_header_repeats(self, tmp_path):
+        # a name would flip only the first of the two columns; a position
+        # still picks one of them
+        p = tmp_path / "dup.csv"
+        p.write_text("a,a\n1,4\n2,5\n3,6\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="dup.csv: negate column 'a' is ambiguous: 2 "):
+            load_csv(p, negate_columns=["a"])
+        D = load_csv(p, negate_columns=[2])
+        assert D.values.tolist() == [[0, 1], [0.5, 0.5], [1, 0]]
+
     def test_ragged_row_diagnostic(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n3\n", encoding="utf-8")

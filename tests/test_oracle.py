@@ -167,6 +167,15 @@ class TestExactRatK2d:
             assert rr.exact_rat_k_2d(S, demo7, exact) == 1.0
             assert rr.exact_rat_k_2d(S, demo7, exact - 1) < 1.0 if exact > 1 else True
 
+    def test_one_ray_cone_is_the_rank_at_its_ray(self, demo7):
+        # u1 = u2 leaves the single direction x = 0.5, where tuples 1 and 7
+        # tie; the fraction is 1 or 0 as the exact rank there reaches k
+        ray = rr.RestrictedSpace(((1, -1), (-1, 1)))
+        for S in ([1], [3], [6], [7], [2, 6]):
+            at = rr.exact_chain_rank(S, demo7, (0.5, 0.5))
+            for k in range(1, demo7.n + 1):
+                assert rr.exact_rat_k_2d(S, demo7, k, ray) == float(at <= k)
+
     def test_matches_sampled_fraction(self, demo7):
         rep = rr.estimate_rank_regret([2, 4], demo7, 200_000, seed=84, ks=[1, 2])
         for k in (1, 2):
@@ -184,3 +193,13 @@ class TestMinCoverOracle:
         universe = np.arange(4)
         sets = {1: np.array([0, 1]), 2: np.array([2, 3]), 3: np.array([1, 2])}
         assert rr.exhaustive_min_cover_size(universe, sets) == 2
+
+    def test_empty_universe_needs_no_set(self):
+        assert rr.exhaustive_min_cover_size(np.arange(0), {1: np.array([0])}) == 0
+
+    def test_guard(self):
+        many_sets = {i: np.array([0]) for i in range(1, 32)}
+        with pytest.raises(rr.GuardExceededError, match="30 sets / 40 items"):
+            rr.exhaustive_min_cover_size(np.arange(1), many_sets)
+        with pytest.raises(rr.GuardExceededError, match="30 sets / 40 items"):
+            rr.exhaustive_min_cover_size(np.arange(41), {1: np.arange(41)})
