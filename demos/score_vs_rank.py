@@ -3,7 +3,7 @@
 Adding a constant to an attribute (think Celsius to Kelvin) leaves every
 ranking untouched, but it rescales score gaps.  The score-based
 regret-ratio objective then switches its preferred tuple, while the
-rank-regret objective is provably shift invariant.
+rank-regret objective is provably shift invariant, in 2D and in d > 2.
 """
 
 import numpy as np
@@ -39,3 +39,11 @@ print("\nscore-based selection now prefers t7, whose worst-case rank is last;")
 print("rank-based selection still returns t3, exactly as before the shift:")
 print("  best single tuple by rank-regret:",
       rr.solve_rrm_2d(shifted, 1).selected_indices)
+
+# the same holds in d > 2: the HD solver's basis is each attribute's top
+# tuple, which a shift keeps, so it returns the same set on the shifted table
+D3 = rr.generate(rr.GenSpec("anti-correlated", 500, 3, seed=4))
+params = rr.HdParams(r=5, seed=4)
+print("\nHD solve (d = 3, r = 5) before and after adding (2, 0, 7):")
+print("  original:", rr.solve_rrm_hd(D3, params).selected_indices)
+print("  shifted: ", rr.solve_rrm_hd(rr.shift(D3, [2.0, 0.0, 7.0]), params).selected_indices)

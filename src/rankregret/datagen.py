@@ -157,6 +157,10 @@ def save_result(result: RegretResult, path) -> None:
 def load_result(path) -> RegretResult:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    keys = ("indices", "size", "rank_regret")
+    missing = [k for k in keys if k not in data] if isinstance(data, dict) else list(keys)
+    if missing:
+        raise ValueError(f"{path}: expected a JSON result object, missing keys {missing}")
     return RegretResult(
         selected_indices=tuple(data["indices"]),
         size=data["size"],

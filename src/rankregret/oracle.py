@@ -238,6 +238,9 @@ def exhaustive_min_cover_size(universe: np.ndarray, sets: dict[int, np.ndarray])
     members = {k: uni.intersection(int(x) for x in sets[k]) for k in keys}
     if len(keys) > 30 or len(uni) > 40:
         raise GuardExceededError("min-cover enumeration limited to 30 sets / 40 items")
+    missing = uni.difference(*members.values())
+    if missing:
+        raise ValueError(f"no set covers the universe items {sorted(missing)}")
     for size in range(1, len(keys) + 1):
         for combo in itertools.combinations(keys, size):
             merged: set[int] = set()
@@ -245,4 +248,3 @@ def exhaustive_min_cover_size(universe: np.ndarray, sets: dict[int, np.ndarray])
                 merged |= members[k]
             if merged == uni:
                 return size
-    raise AssertionError("the full collection must cover its own union")

@@ -1,13 +1,16 @@
 """Candidate-set reduction: skyline and restricted skyline.
 
-Any subset of the dataset can be replaced by a subset of the (restricted)
-skyline without increasing its worst-case rank-regret, so the solvers
-only ever search skyline tuples.  Dominance with respect to a restricted
-space is decided at the cone's extreme rays: the score difference of two
-tuples is linear in u, so its sign over a polyhedral cone is determined
-by the rays alone.  For the top K the K-skyband (``skyband``) is the
-candidate set: a tuple that K others outrank on every ray never reaches
-a top K anywhere in the cone.
+On a table without score ties any subset can be replaced by a subset of
+the (restricted) skyline without increasing its worst-case rank-regret,
+so the solvers only ever search skyline tuples.  Under the index tie rule
+that fails on tied tables, and the skyline can miss the optimum there: a
+row that a higher-indexed row weakly dominates still ranks first where
+the two tie.  Dominance with respect to a restricted space is decided at
+the cone's extreme rays: the score difference of two tuples is linear in
+u, so its sign over a polyhedral cone is determined by the rays alone.
+For the top K the K-skyband (``skyband``) is the candidate set: a tuple
+that K others outrank on every ray never reaches a top K anywhere in the
+cone.
 """
 
 from __future__ import annotations

@@ -342,18 +342,10 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def build_cover(D: Dataset, k: int, basis_indices, disc: Discretization) -> CoverStructure:
     """Top-k membership of every vector, reduced by the basis tuples."""
     uncovered_ids, rows = _HdInstance(D, disc, basis_indices, cap=k).uncovered(k)
-    cover_sets: dict[int, np.ndarray] = {}
-    if uncovered_ids.size:
-        flat_t = rows.ravel()
-        flat_u = np.repeat(uncovered_ids, k)
-        by_tuple = np.argsort(flat_t, kind="stable")
-        flat_t = flat_t[by_tuple]
-        flat_u = flat_u[by_tuple]
-        tuples, starts = np.unique(flat_t, return_index=True)
-        bounds = np.append(starts, flat_t.size)
-        for i, row in enumerate(tuples):
-            cover_sets[int(row) + 1] = flat_u[bounds[i]:bounds[i + 1]]
-    return CoverStructure(uncovered_ids, cover_sets)
+    by_tuple = np.argsort(rows.ravel(), kind="stable")
+    tuples, starts = np.unique(rows.ravel()[by_tuple], return_index=True)
+    vectors = np.split(np.repeat(uncovered_ids, k)[by_tuple], starts[1:])
+    return CoverStructure(uncovered_ids, {int(t) + 1: v for t, v in zip(tuples, vectors)})
 
 
 def greedy_min_superset(D: Dataset, k: int, basis_indices,
@@ -487,19 +479,16 @@ def _result(inst: _HdInstance, params: HdParams, space: RestrictedSpace | None,
     """The search's cover for budget r, with its cover check re-verified."""
     D, disc = inst.D, inst.disc
     verified = discrete_rank_regret(Q, D, disc)
-    if verified > k:
+    # Q holds the basis and covers every vector at k, so each vector's
+    # first member of Q lies in its first k columns, at or before its first
+    # basis tuple, where the order prefix is exact: its column is Q's rank
+    ranks = _first_stop(inst.order[:, :k], _tuple_mask(Q, D.n)) + 1
+    if verified > k or ranks.max() != verified:
         raise AssertionError(
-            f"cover check failed: discrete rank-regret {verified} exceeds {k}"
+            f"cover check failed: discrete rank-regret {verified} against threshold "
+            f"{k} and order prefix rank {ranks.max()}"
         )
-    # the order prefix is the canonical order, at least k wide, up to each
-    # vector's first basis tuple: the first vector with no member of Q in
-    # its first verified - 1 places is where Q's rank is verified.  Every
-    # cover holds the basis, so a vector whose first basis tuple comes
-    # that early is rightly counted as reached, filler or not
-    early = _tuple_mask(Q, D.n)[inst.order[:, :verified - 1]].any(axis=1)
-    witness = int(np.argmin(early))
-    if early[witness]:
-        raise AssertionError(f"no vector of the order prefix reaches rank {verified}")
+    witness = int(np.argmax(ranks))
     solver_params = {
         "algo": "hd",
         "r": r,

@@ -314,6 +314,24 @@ class TestSolveEvalPipeline:
         evaluated = json.loads(out)
         assert evaluated["rat_k"][str(solved["rank_regret"])] >= 0.97
 
+    def test_restricted_hd_solve_then_eval(self, d3_csv, tmp_path):
+        spath = tmp_path / "space.json"
+        spath.write_text(json.dumps({"halfspaces": [[1, -1, 0]]}), encoding="utf-8")
+        code, out, _ = run(["solve", "--algo", "hd", "--r", "3", "--input", d3_csv,
+                            "--m", "200", "--seed", "5", "--restrict", str(spath)])
+        assert code == 0
+        solved = json.loads(out)
+        assert solved["params"]["halfspaces"] == [[1.0, -1.0, 0.0]]
+        u = solved["params"]["witness"]["vector"]
+        assert u[0] - u[1] >= 0
+        index_list = ",".join(str(i) for i in solved["indices"])
+        code, out, _ = run(["eval", "--input", d3_csv, "--set", index_list,
+                            "--samples", "2000", "--seed", "5", "--restrict", str(spath)])
+        assert code == 0
+        evaluated = json.loads(out)
+        assert evaluated["config"]["restrict"] == str(spath)
+        assert 1 <= evaluated["estimated_rank_regret"] <= 40
+
 
 class TestHelp:
     def test_unknown_command_usage_error(self):

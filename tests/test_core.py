@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import rankregret as rr
 from rankregret import core
 from rankregret.core import NORMALIZATION_TOL
+from rankregret.datagen import normalize_columns
 
 from conftest import (block_budgets, cell_labels, grid_tables, hd_tables, kernel_layout,
                       pivot_seeds, random_dataset, random_pivots, signed_tables, utility_rows)
@@ -40,9 +41,23 @@ class TestDataset:
             demo7.values[0, 0] = 0.5
 
     def test_unnormalized_has_no_basis(self):
-        D = rr.Dataset([[2.0, 3.0], [4.0, 5.0]], normalized=False)
-        with pytest.raises(ValueError, match="normalized"):
-            D.basis_indices
+        # the basis is defined on every table: column 1's top tuple is row
+        # 2, and column 2 ties, so the lower index, row 1, wins
+        D = rr.Dataset([[2.0, 5.0], [4.0, 5.0]], normalized=False)
+        assert D.basis_indices == (1, 2)
+
+    def test_all_ones_tuple_listed_once(self):
+        D = rr.Dataset([[1.0, 1.0, 1.0]])
+        assert D.basis_indices == (1,)
+
+    def test_every_attribute_attains_one(self):
+        vals = np.random.default_rng(5).random((40, 3))
+        D = rr.Dataset(normalize_columns(vals))
+        b = D.basis_indices
+        col_max_rows = {int(np.argmax(D.values[:, j])) + 1 for j in range(3)}
+        assert set(b) == col_max_rows
+        for j in range(3):
+            assert any(D.values[i - 1, j] >= 1 - 1e-9 for i in b)
 
 
 class TestUtilityVector:

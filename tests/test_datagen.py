@@ -184,6 +184,16 @@ class TestResultSerialization:
         assert back.rank_regret == res.rank_regret
         assert back.solver_params == res.solver_params
 
+    @pytest.mark.parametrize("text, missing", [
+        ("[1, 2]", "'indices', 'size', 'rank_regret'"),
+        ('{"size": 1, "rank_regret": 2}', "'indices'"),
+    ], ids=["list", "no-indices"])
+    def test_malformed_file_is_a_value_error(self, tmp_path, text, missing):
+        p = tmp_path / "res.json"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"res.json: .*missing keys \\[{missing}\\]"):
+            load_result(p)
+
     def test_same_result_same_bytes(self, tmp_path):
         res = rr.RegretResult((1,), 1, 2, {"algo": "2d"})
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

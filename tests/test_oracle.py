@@ -197,6 +197,11 @@ class TestMinCoverOracle:
     def test_empty_universe_needs_no_set(self):
         assert rr.exhaustive_min_cover_size(np.arange(0), {1: np.array([0])}) == 0
 
+    def test_uncoverable_universe_is_a_value_error(self):
+        sets = {1: np.array([0]), 2: np.array([1])}
+        with pytest.raises(ValueError, match=r"items \[2\]"):
+            rr.exhaustive_min_cover_size(np.arange(3), sets)
+
     def test_guard(self):
         many_sets = {i: np.array([0]) for i in range(1, 32)}
         with pytest.raises(rr.GuardExceededError, match="30 sets / 40 items"):

@@ -137,30 +137,6 @@ class TestRestrictedSkyline:
         assert full == coned
 
 
-class TestBasis:
-    def test_demo_basis(self, demo7):
-        assert demo7.basis_indices == (1, 7)
-
-    def test_all_ones_tuple_listed_once(self):
-        D = rr.Dataset([[1.0, 1.0, 1.0]])
-        assert D.basis_indices == (1,)
-
-    def test_every_attribute_attains_one(self):
-        vals = np.random.default_rng(5).random((40, 3))
-        from rankregret.datagen import normalize_columns
-        D = rr.Dataset(normalize_columns(vals))
-        b = D.basis_indices
-        col_max_rows = {int(np.argmax(D.values[:, j])) + 1 for j in range(3)}
-        assert set(b) == col_max_rows
-        for j in range(3):
-            assert any(D.values[i - 1, j] >= 1 - 1e-9 for i in b)
-
-    def test_unnormalized_rejected(self):
-        D = rr.Dataset([[2.0, 3.0], [4.0, 5.0]], normalized=False)
-        with pytest.raises(ValueError):
-            D.basis_indices
-
-
 class TestCandidateReduction:
     """Replacing any subset by skyline members never hurts the optimum."""
 

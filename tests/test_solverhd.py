@@ -268,8 +268,11 @@ class TestCoverEquivalence:
         D = generate(GenSpec("independent", 30, 3, seed=77))
         disc = rr.build_discretization(3, 2, 30, seed=77)
         B = set(D.basis_indices)
-        for trial in range(100):
-            k = int(gen.integers(1, 10))
+        # the last input is the first k at which the basis alone covers
+        # every vector, where the cover view has no vectors and no sets
+        k_basis = rr.discrete_rank_regret(D.basis_indices, D, disc)
+        for trial in range(101):
+            k = int(gen.integers(1, 10)) if trial < 100 else k_basis
             cover = rr.build_cover(D, k, D.basis_indices, disc)
             extra = set(gen.choice(30, size=int(gen.integers(1, 6)), replace=False) + 1)
             Q = tuple(sorted(B | extra))
@@ -279,6 +282,7 @@ class TestCoverEquivalence:
             covers_all = covered >= set(cover.uncovered_ids.tolist())
             reaches_k = rr.discrete_rank_regret(Q, D, disc) <= k
             assert covers_all == reaches_k
+        assert cover.uncovered_ids.size == 0 and cover.cover_sets == {}
 
     def test_uncovered_excludes_basis_coverage(self, demo7):
         disc = rr.build_discretization(2, 6, 10, seed=3)
@@ -405,6 +409,25 @@ class TestSolveRrmHd:
             rr.solve_rrm_hd(D, HdParams(r=2, m=10))
         with pytest.raises(ValueError):
             rr.solve_rrm_hd(D, HdParams(r=21, m=10))
+
+
+def test_hd_solves_are_shift_invariant():
+    # a shift adds one constant to every score, so both HD solves return
+    # the same set and threshold on shift(D, lam).  The correlated family
+    # is left out: it clips rows to equal values, and the float rounding
+    # of shift can break such an exact score tie, which moves a rank
+    for d in (3, 4, 5):
+        lam = np.random.default_rng(d).random(d) * 3
+        for family in ("independent", "anti-correlated"):
+            D = generate(GenSpec(family, 150, d, seed=d))
+            shifted = rr.shift(D, lam)
+            for space in (None, rr.RestrictedSpace.weak_ranking(d, 1)):
+                params = HdParams(r=d + 2, gamma=3, m=300, seed=d)
+                for solve in (lambda T: rr.solve_rrm_hd(T, params, space),
+                              lambda T: rr.solve_rrr_hd(T, 10, params, space)):
+                    a, b = solve(D), solve(shifted)
+                    assert b.selected_indices == a.selected_indices
+                    assert b.rank_regret == a.rank_regret
 
 
 class TestSolveRrrHd:
