@@ -344,7 +344,10 @@ def shift(D: Dataset, lam) -> Dataset:
     """Dataset with lam added to every tuple, marked un-normalized.
 
     Adding a fixed nonnegative vector adds the same constant to every
-    score under any u, so all ranks are preserved.
+    exact score under any u, so exact ranks are preserved.  Ranks follow
+    the float scores, and the rounded sums ``D.values + lam`` can make or
+    break a score tie between rows that hold different values, so the
+    rank of such a row can move.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (D.d,):
@@ -388,6 +391,10 @@ def _min_rank_rows(score_block: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 # Scores held at once by a blocked rank or score pass (16 MiB of float64).
 _BLOCK_CELLS = 1 << 21
+
+# Keys a direction cell aims at, and the most a block of cells joined
+# under one pivot may hold.
+_CELL_KEYS = 1 << 16
 
 # Unit roundoff of float64.
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -454,19 +461,24 @@ def _direction_cells(V: np.ndarray, n: int) -> np.ndarray:
     Each row's polar angles theta_i = atan2(|u_{i+1..d}|, u_i) are binned
     into equal slices of their range.  A cell costs a fixed overhead plus
     one bound per tuple, so it gets at least 64 rows and, against n
-    tuples, at least 2**16 keys: its bounds then cost about 2d/64 of
-    keying its rows, and the overhead stays small against the keys.  Any
-    labelling is correct: cells only decide how many tuples the per-cell
-    bounds of ``_cell_candidates`` can drop.
+    tuples, at least ``_CELL_KEYS`` keys: its bounds then cost about 2d/64
+    of keying its rows.  ``_cell_candidates`` keys cells that share a
+    pivot together up to the same figure, so the overhead stays small
+    against the keys.  Any labelling is correct: cells only decide how
+    many tuples the bounds of ``_cell_candidates`` can drop.  Labels come
+    in the smallest unsigned type that holds them, which numpy sorts
+    stably by radix.
     """
     N, d = V.shape
-    cells = N / max(64, 2 ** 16 / n)
+    cells = N / max(64, _CELL_KEYS / n)
     per_angle = max(1, int(round(cells ** (1 / (d - 1)))))
-    tails = np.sqrt(np.cumsum((V ** 2)[:, ::-1], axis=1)[:, ::-1])
-    theta = np.arctan2(tails[:, 1:], V[:, :-1])
-    lo, hi = theta.min(axis=0), theta.max(axis=0)
+    VT = np.ascontiguousarray(V.T)
+    tails = np.sqrt(np.cumsum(VT[::-1] ** 2, axis=0)[::-1])
+    theta = np.arctan2(tails[1:], VT[:-1])
+    lo, hi = theta.min(axis=1, keepdims=True), theta.max(axis=1, keepdims=True)
     bins = np.floor((theta - lo) / np.maximum(hi - lo, 1e-300) * per_angle).astype(np.int64)
-    return np.ravel_multi_index(np.minimum(bins, per_angle - 1).T, (per_angle,) * (d - 1))
+    label = np.ravel_multi_index(np.minimum(bins, per_angle - 1), (per_angle,) * (d - 1))
+    return label.astype(np.min_scalar_type(per_angle ** (d - 1) - 1))
 
 
 def _set_best(D: Dataset, V: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,13 +489,13 @@ def _set_best(D: Dataset, V: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
     return set_scores[np.arange(V.shape[0]), at], rows[at]
 
 
-def _cell_pivots(groups: list[np.ndarray], pick: np.ndarray) -> np.ndarray:
-    """Per cell, given by its utility rows ``groups``, the tuple of
-    ``pick`` (one 0-based tuple per row) that most of its rows pick; ties
-    go to the lower tuple."""
-    cell = np.repeat(np.arange(len(groups)), [ids.size for ids in groups])
+def _cell_pivots(order: np.ndarray, sizes: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """Per cell, whose utility rows are the consecutive runs of ``sizes``
+    rows of ``order``, the tuple of ``pick`` (one 0-based tuple per row)
+    that most of its rows pick; ties go to the lower tuple."""
+    cell = np.repeat(np.arange(sizes.size), sizes)
     base = int(pick.max()) + 1
-    keys, counts = np.unique(cell * base + pick[np.concatenate(groups)], return_counts=True)
+    keys, counts = np.unique(cell * base + pick[order], return_counts=True)
     # keys ascend by (cell, tuple) and lexsort is stable: within a cell the
     # most picked tuple comes first, the lower one among equal counts
     by_count = np.lexsort((-counts, keys // base))
@@ -492,9 +504,9 @@ def _cell_pivots(groups: list[np.ndarray], pick: np.ndarray) -> np.ndarray:
 
 
 def _cell_candidates(V: np.ndarray, X: np.ndarray, keep=None, pick=None, K=None):
-    """Yield ``(ids, cand)`` for every direction cell (``_direction_cells``)
-    of the utility rows of V: the cell's rows ``ids`` and the sorted
-    0-based tuples ``cand`` of X that the cell may need.
+    """Yield ``(ids, cand)`` for blocks of direction cells
+    (``_direction_cells``) of the utility rows of V: the block's rows
+    ``ids`` and the sorted 0-based tuples ``cand`` of X that they may need.
 
     Over a cell with componentwise max hi and min lo, every row u has
     u . a <= hi . a+ - lo . a- for any vector a (the box bound), and
@@ -523,19 +535,28 @@ def _cell_candidates(V: np.ndarray, X: np.ndarray, keep=None, pick=None, K=None)
     reach.  The slack 4 gamma_{2d+4} reach also absorbs its own rounding
     and the comparison, and the last term absorbs underflow.
 
-    The tuples of ``keep`` are always yielded.  Cells are bounded pivot by
-    pivot, so each pivot's signed differences are formed once, in blocks
-    of at most ``_BLOCK_CELLS // 8`` bounds.
+    With K given every block is one cell.  Without K, consecutive cells
+    that share a pivot form one block with the union of their candidates
+    while its rows times that union stay within ``_CELL_KEYS``; a cell
+    that does not fit starts the next block.  A tuple outside the union is
+    dropped in every member cell, so it scores below the shared pivot at
+    every row of the block, and a member cell's extra tuples score below
+    it at that cell's rows.  The tuples of ``keep`` are always yielded.
+    Cells are bounded pivot by pivot, so each pivot's signed differences
+    are formed once, in steps of at most ``_BLOCK_CELLS // 8`` bounds.
     """
     n, d = X.shape
     if not V.shape[0]:
         return
     label = _direction_cells(V, n)
     order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
-    groups = np.split(order, starts[1:])
-    hi = np.maximum.reduceat(V[order], starts)
-    lo = np.minimum.reduceat(V[order], starts)
+    sizes = np.bincount(label)
+    sizes = sizes[sizes > 0]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    by_cell = V[order]
+    hi = np.maximum.reduceat(by_cell, starts)
+    lo = np.minimum.reduceat(by_cell, starts)
     reach = np.maximum(np.abs(hi), np.abs(lo)) @ np.abs(X).max(axis=0)
     slack = 4 * _gamma(2 * d + 4) * reach + 8 * d * np.finfo(float).smallest_subnormal
     upper = np.hstack([hi, -lo])
@@ -543,9 +564,12 @@ def _cell_candidates(V: np.ndarray, X: np.ndarray, keep=None, pick=None, K=None)
     def signed_T(A):
         return np.vstack([np.maximum(A, 0.0).T, np.maximum(-A, 0.0).T])
 
+    def rows_of(cells):
+        return np.concatenate([order[starts[i]:ends[i]] for i in cells])
+
     if K is not None:
         lower, X_T = np.hstack([lo, -hi]), signed_T(X)
-    pivots = np.full(len(groups), -1) if pick is None else _cell_pivots(groups, pick)
+    pivots = np.full(sizes.size, -1) if pick is None else _cell_pivots(order, sizes, pick)
     by_pivot = np.argsort(pivots, kind="stable")
     step = max(1, _BLOCK_CELLS // 8 // n)
     for cells in np.split(by_pivot, np.flatnonzero(np.diff(pivots[by_pivot])) + 1):
@@ -562,20 +586,29 @@ def _cell_candidates(V: np.ndarray, X: np.ndarray, keep=None, pick=None, K=None)
                 ok &= upper[c] @ X_T >= (low[:, n - K] - slack[c])[:, None]
             if keep is not None:
                 ok[:, keep] = True
-            for i, row in zip(c, ok):
-                yield groups[i], np.flatnonzero(row)
+            first, union, count = 0, ok[0], sizes[c[0]]
+            for j in range(1, c.size):
+                if K is None:
+                    joined = union | ok[j]
+                    if (count + sizes[c[j]]) * np.count_nonzero(joined) <= _CELL_KEYS:
+                        union, count = joined, count + sizes[c[j]]
+                        continue
+                yield rows_of(c[first:j]), np.flatnonzero(union)
+                first, union, count = j, ok[j], sizes[c[j]]
+            yield rows_of(c[first:]), np.flatnonzero(union)
 
 
 def _candidate_blocks(D: Dataset, V: np.ndarray, rows, pick, K=None):
     """Yield ``(ids, cand, keys)``: utility rows ``ids`` of V, the sorted
-    0-based tuples ``cand`` that ``_cell_candidates`` keeps for their
-    direction cell, and their BLAS keys ``V[ids] @ X[cand].T``.
+    0-based tuples ``cand`` that ``_cell_candidates`` keeps for their block
+    of direction cells, and their BLAS keys ``V[ids] @ X[cand].T``.
 
     ``rows``, ``pick`` and K go to ``_cell_candidates`` as its stop set,
     each row's best stop tuple and its floor.  Against a set ``rows`` with
-    ``pick`` each row's best member, a dropped tuple scores strictly below
-    its cell's pivot member, so below the set's best, at every row of the
-    cell, canonically and by key; the rows of the set are always kept.
+    ``pick`` each row's best member, a tuple a row's cell drops scores
+    strictly below the cell's pivot member, so below the set's best, at
+    that row, canonically and by key, whether or not another cell of the
+    block keeps it; the rows of the set are always kept.
 
     A block of keys is cut by ``_score_blocks`` at ``_BLOCK_CELLS`` cells
     (one row when a row alone exceeds it).  Without K a row is its |cand|
@@ -601,9 +634,12 @@ def min_ranks_for_vectors(D: Dataset, vectors: np.ndarray, S: Iterable[int]) -> 
     that slack of it are re-scored canonically and ranked under the index
     tie rule.  A tuple that outranks S at a row scores at least every
     member there, so tuples that score strictly below a direction cell's
-    pivot member at all of its rows are never keyed (``_candidate_blocks``
-    over the cell bounds of ``_cell_candidates``, which the HD order
-    prefix shares).  Peak working memory is O(``_BLOCK_CELLS``) keys plus
+    pivot member at all of its rows are never keyed there
+    (``_candidate_blocks`` over the cell bounds of ``_cell_candidates``,
+    which the HD order prefix shares).  Cells that share a pivot are keyed
+    in blocks against the union of their candidates; a tuple keyed only
+    for another cell of the block scores below the pivot, so it never
+    counts.  Peak working memory is O(``_BLOCK_CELLS``) keys plus
     the set's N x |S| canonical scores and the output.
     """
     rows = _set_rows(S, D.n)

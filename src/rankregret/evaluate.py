@@ -52,10 +52,11 @@ def max_regret_ratio(S, D: Dataset, samples: int, seed: int,
 
     Directions where the dataset's best score is not positive carry no
     ratio and are skipped with a warning.  Scores are BLAS keys over the
-    candidate blocks of ``core._candidate_blocks``.  A dropped tuple's key
-    is below its cell's pivot member's there, so the tuple with the top
-    key is always a candidate.  Peak working memory is
-    O(``_BLOCK_CELLS``) keys plus the samples.
+    blocks of direction cells of ``core._candidate_blocks``.  A tuple a
+    row's cell drops has a key below that cell's pivot member's, so the
+    tuple with the top key is always a candidate, and a tuple keyed only
+    for another cell of the block never holds the top key.  Peak working
+    memory is O(``_BLOCK_CELLS``) keys plus the samples.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")

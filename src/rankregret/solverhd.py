@@ -181,8 +181,10 @@ def sample_sphere(d: int, m: int, seed: int,
 
     It draws |N(0,1)| coordinates and normalizes, which is uniform on the
     positive orthant of the sphere.  For a restricted space vectors are
-    kept by rejection; an acceptance rate below 1e-4 on the probe batch
-    raises ConeSamplingError.
+    kept by rejection from batches of 32 768 draws; an acceptance rate
+    below 1e-4 on the first, the probe batch, raises ConeSamplingError.
+    The full space draws only the rows it still needs; the normal stream
+    is sequential, so the vectors are the same either way.
     """
     if m < 1:
         raise ValueError("sample count m must be at least 1")
@@ -191,17 +193,14 @@ def sample_sphere(d: int, m: int, seed: int,
     batch = 32768
     chunks: list[np.ndarray] = []
     got = 0
-    probed = False
     while got < m:
-        raw = np.abs(rng.standard_normal((batch, d)))
+        raw = np.abs(rng.standard_normal((batch if restricted else m - got, d)))
         norms = np.linalg.norm(raw, axis=1)
         keep = norms > 0
         V = raw[keep] / norms[keep][:, None]
         if restricted:
             V = V[space.membership_mask(V)]
-        if not probed:
-            probed = True
-            if V.shape[0] / batch < 1e-4:
+            if not chunks and V.shape[0] / batch < 1e-4:
                 raise ConeSamplingError(
                     f"acceptance rate {V.shape[0] / batch:.2e} below 1e-4 on a "
                     f"{batch}-vector probe; the cone is too thin to sample"
@@ -265,11 +264,12 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
     The stop tuples are always keyed, and a cell with fewer than K
     candidates sorts all of them.  Each block of keys is partitioned at
     its (K+1)-th key and only the top K are sorted.  Keys farther apart
-    than twice ``core._key_slack`` order as their canonical scores do.  A
-    row with two adjacent prefix keys closer than that is re-sorted stably
-    on canonical scores from index order; a row whose (K+1)-th key is that
-    close to its K-th key, where the partition may have chosen the wrong
-    tuples, is sorted stably in full on canonical scores.  The candidates
+    than twice ``core._key_slack`` order as their canonical scores do.  The
+    runs of adjacent prefix keys closer than that are re-sorted on
+    canonical scores, ties to the lower index (``_sort_runs``); a row
+    whose (K+1)-th key is that close to its K-th key, where the partition
+    may have chosen the wrong tuples, is sorted stably in full on
+    canonical scores.  The candidates
     are sorted, so positions among them map back to tuples with the index
     tie rule intact.  Peak working memory is O(``_BLOCK_CELLS``) cells
     whatever K is, plus the N x K output.
@@ -300,11 +300,7 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
         rows = _take_rows(top, pos)
         sorted_neg = _take_rows(top_neg, pos)
         gap = near[at, None]
-        close = np.flatnonzero((np.diff(sorted_neg, axis=1) <= gap).any(axis=1))
-        if close.size:
-            by_index = np.sort(top[close], axis=1)
-            score = _canonical_at(V, X, at[close, None], cand[by_index])
-            rows[close] = _take_rows(by_index, np.argsort(-score, axis=1, kind="stable"))
+        _sort_runs(rows, np.diff(sorted_neg, axis=1) <= gap, V, X, at, cand)
         spill = np.flatnonzero(after <= sorted_neg[:, Kc - 1] + gap[:, 0])
         if spill.size:
             score = _canonical(V[at[spill]], X[cand])
@@ -315,6 +311,28 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
             # among them; the rest of the row is filler
             out[at, Kc:] = out[at, Kc - 1:Kc]
     return out
+
+
+def _sort_runs(rows: np.ndarray, link: np.ndarray, V: np.ndarray, X: np.ndarray,
+               at: np.ndarray, cand: np.ndarray) -> None:
+    """Re-sort in place, on canonical scores with ties to the lower index,
+    the places of ``rows`` (candidate positions in key order, one row per
+    utility row ``at``) that ``link`` ties to a neighbour (adjacent keys
+    within the gap).  Keys in different runs of links order as their
+    scores do, so only the linked places are re-scored, and sorting all of
+    a row's linked places together puts each run back into its own
+    places.  Exact duplicate tuples always link, but their runs are short."""
+    if not link.any():
+        return
+    member = np.zeros(rows.shape, dtype=bool)
+    member[:, 1:] = link
+    member[:, :-1] |= link
+    f = np.flatnonzero(member)
+    row = f // rows.shape[1]
+    flat = rows.reshape(-1)
+    t = flat[f]
+    score = _canonical_at(V, X, at[row], cand[t])
+    flat[f] = t[np.lexsort((t, -score, row))]
 
 
 def _first_stop(order: np.ndarray, in_stop: np.ndarray) -> np.ndarray:

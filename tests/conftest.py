@@ -145,5 +145,5 @@ def random_pivots(members, seed):
     rng = np.random.default_rng(seed)
     members = np.asarray(members)
     with mock.patch.object(core, "_cell_pivots",
-                           lambda groups, pick: rng.choice(members, len(groups))):
+                           lambda order, sizes, pick: rng.choice(members, len(sizes))):
         yield

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import rankregret as rr
 from rankregret import core
 from rankregret.core import NORMALIZATION_TOL
-from rankregret.datagen import normalize_columns
+from rankregret.datagen import GenSpec, normalize_columns
 
 from conftest import (block_budgets, cell_labels, grid_tables, hd_tables, kernel_layout,
                       pivot_seeds, random_dataset, random_pivots, signed_tables, utility_rows)
@@ -40,7 +40,7 @@ class TestDataset:
         with pytest.raises(ValueError):
             demo7.values[0, 0] = 0.5
 
-    def test_unnormalized_has_no_basis(self):
+    def test_unnormalized_basis_is_each_columns_lowest_top_tuple(self):
         # the basis is defined on every table: column 1's top tuple is row
         # 2, and column 2 ties, so the lower index, row 1, wins
         D = rr.Dataset([[2.0, 5.0], [4.0, 5.0]], normalized=False)
@@ -366,10 +366,9 @@ def test_cell_candidates_drop_only_tuples_below_the_pivot(data, cells):
     pivot_of = np.full(len(V), -1)
     real = core._cell_pivots
 
-    def recording(groups, pick):
-        pivots = real(groups, pick)
-        for ids, p in zip(groups, pivots):
-            pivot_of[ids] = p
+    def recording(order, sizes, pick):
+        pivots = real(order, sizes, pick)
+        pivot_of[order] = np.repeat(pivots, sizes)
         return pivots
 
     with kernel_layout(cells, data.draw(cell_labels(len(V)))), \
@@ -383,6 +382,30 @@ def test_cell_candidates_drop_only_tuples_below_the_pivot(data, cells):
         dropped = np.setdiff1d(np.arange(len(X)), cand)
         below = scores[np.ix_(ids, dropped)] < scores[ids, pivot_of[ids]][:, None]
         assert below.all()
+
+
+def test_rank_kernel_keys_cells_of_one_pivot_together():
+    # without a floor, cells that share a pivot are keyed as one block of
+    # at most _CELL_KEYS keys; the ranks stay those of the canonical scores
+    D = rr.generate(GenSpec("independent", 1000, 3, seed=1))
+    V = rr.sample_sphere(3, 20_000, seed=3)
+    labels = core._direction_cells(V, D.n)
+    real = core._candidate_blocks
+    blocks = []
+
+    def counting(*args):
+        for ids, cand, keys in real(*args):
+            blocks.append((np.unique(labels[ids]).size, ids.size * cand.size))
+            yield ids, cand, keys
+
+    with mock.patch.object(core, "_candidate_blocks", counting):
+        got = rr.min_ranks_for_vectors(D, V, D.basis_indices)
+    assert 5 * len(blocks) < np.unique(labels).size
+    assert all(keys <= 2 ** 16 for cells, keys in blocks if cells > 1)
+    rows = np.asarray(D.basis_indices) - 1
+    want = [core._min_rank_rows(core._canonical(V[lo:lo + 2000], D.values), rows)
+            for lo in range(0, len(V), 2000)]
+    assert np.array_equal(got, np.concatenate(want))
 
 
 @settings(max_examples=80, deadline=None)

@@ -59,6 +59,23 @@ class TestSampleSphere:
         b = rr.sample_sphere(4, 3_000, seed=9)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("m", [1, 12_361, 32_768, 32_769, 70_000])
+    @pytest.mark.parametrize("d", [3, 9])
+    def test_full_space_draw_matches_the_batch_loop(self, d, m):
+        # the full space draws m rows at once; the normal stream is
+        # sequential, so it equals the old loop over 32 768-row batches
+        rng = np.random.default_rng(17)
+        chunks, drawn = [], 0
+        while drawn < m:
+            raw = np.abs(rng.standard_normal((32768, d)))
+            norms = np.linalg.norm(raw, axis=1)
+            keep = norms > 0
+            chunks.append(raw[keep] / norms[keep][:, None])
+            drawn += chunks[-1].shape[0]
+        want = np.vstack(chunks)[:m]
+        got = rr.sample_sphere(d, m, seed=17)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_restricted_rejection(self):
         space = rr.RestrictedSpace.weak_ranking(3)
         V = rr.sample_sphere(3, 2_000, seed=3, space=space)
