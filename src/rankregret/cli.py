@@ -46,7 +46,7 @@ def _load_space(path) -> RestrictedSpace | None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    rows = data.get("halfspaces", []) if isinstance(data, dict) else None
+    rows = data.get("halfspaces") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(isinstance(h, list) for h in rows):
         raise ValueError(f'{path}: expected a JSON object {{"halfspaces": [[...], ...]}}')
     try:

@@ -264,11 +264,8 @@ def _extreme_rays(halfspaces: tuple[tuple[float, ...], ...], d: int) -> np.ndarr
         for cand in (v, -v):
             if (A @ cand >= -1e-10).all():
                 ray = np.where(np.abs(cand) < 1e-12, 0.0, cand)
-                peak = ray.max()
-                if peak <= 0:
-                    continue
                 # rounding after max-1 scaling keeps rational cones exact
-                ray = np.round(ray / peak, 12)
+                ray = np.round(ray / ray.max(), 12)
                 key = tuple(ray)
                 if key not in keys:
                     keys.add(key)

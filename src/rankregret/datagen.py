@@ -88,7 +88,7 @@ def load_csv(path, normalize: bool = True, negate_columns=()) -> Dataset:
     than one column, raises ValueError.
     """
     label = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -16,9 +16,10 @@ rational.  At a point x the lines are ordered by their exact score,
 then by the lower tuple index; in the open cell just right of x, by the
 score at x, then by slope descending, then by index (the index is the
 symbolic perturbation of Edelsbrunner and Muecke's simulation of
-simplicity).  A line is ranked exactly at the start of the interval
-only; its rank changes only where it crosses another line, so it is
-carried through its crossings in exact order (Bentley-Ottmann), with no
+simplicity).  Lines are ranked exactly at the two ends of the interval
+only, and these two orders decide which lines cross inside it.  A
+line's rank changes only where it crosses another line, so it is carried
+from lo through its crossings in exact order (Bentley-Ottmann), with no
 float scoring and O(|S| * n) crossings of working memory for S of n.
 """
 
@@ -77,6 +78,11 @@ class _Form:
     and slope is an exact integer (``B``, ``S``); ``b`` and ``s`` are
     their float copies.  ``sky`` holds the restricted skyline's rows in
     ascending slope when the form is built for a solve (``of``).
+
+    Each row is ranked exactly once at each end of the interval
+    (``ends``), which decides every crossing: lines of different slopes
+    differ in score linearly in x, so they cross in the closed interval
+    iff their difference does not keep one strict sign at both ends.
     """
 
     def __init__(self, values: np.ndarray, interval, sky_rows=None):
@@ -102,68 +108,80 @@ class _Form:
         sky = [i - 1 for i in restricted_skyline(D, space)]
         return cls(D.values, render_scene(space), sky)
 
-    def point(self, x: float, pm: int, pc: int) -> tuple[int, int] | None:
-        """Exact x = num / den (den > 0) of the crossing of rows pm and pc
-        (None when they are parallel), or of the float x when pm < 0."""
+    def point(self, x: float, pm: int, pc: int) -> tuple[int, int]:
+        """Exact x = num / den (den > 0) of the crossing of the rows pm and
+        pc of different slopes, or of the float x when pm < 0."""
         if pm < 0:
             return x.as_integer_ratio()
         num, den = self.B[pc] - self.B[pm], self.S[pm] - self.S[pc]
-        return None if den == 0 else (num, den) if den > 0 else (-num, -den)
+        return (num, den) if den > 0 else (-num, -den)
 
     def tol(self, x):
         """Bound on the float error of a difference of scores b + s * x at
         the float x."""
         return 16.0 * _U * self._mag * (1.0 + np.abs(x))
 
-    def order(self, rows: np.ndarray, x: float) -> np.ndarray:
-        """rows top to bottom at the point x: exact score, then row."""
+    def order(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every row top to bottom at the point x (exact score, then row),
+        and each row's key n * dense rank + row: rows of equal exact score
+        share a dense rank, and keys order as the rows do."""
+        n = self.values.shape[0]
         # at the ends of [0, 1] the scores are the attributes themselves
         if x in (0.0, 1.0):
-            y, tol = self.values[rows, 1 - int(x)], 0.0
+            y, tol = self.values[:, 1 - int(x)], 0.0
         else:
-            y, tol = self.b[rows] + self.s[rows] * x, float(self.tol(x))
-        idx = np.lexsort((rows, -y))
-        rows, y = rows[idx], y[idx]
+            y, tol = self.b + self.s * x, float(self.tol(x))
+        rows = np.argsort(-y, kind="stable")
+        new = y[rows[:-1]] - y[rows[1:]] > tol  # the next row scores less
         if tol:
             p, q = x.as_integer_ratio()
-            for a, z in _runs(np.flatnonzero(y[:-1] - y[1:] > tol) + 1, rows.size):
-                rows[a:z] = sorted(rows[a:z].tolist(),
-                                   key=lambda r: (-(self.B[r] * q + self.S[r] * p), r))
-        return rows
+            # scores within tol are ranked exactly, and only they can tie
+            for a, z in _runs(np.flatnonzero(new) + 1, n):
+                exact = sorted((-(self.B[r] * q + self.S[r] * p), r) for r in rows[a:z].tolist())
+                rows[a:z] = [r for _, r in exact]
+                new[a:z - 1] = [u[0] != v[0] for u, v in zip(exact, exact[1:])]
+        key = np.empty(n, dtype=np.int64)
+        key[rows] = n * np.concatenate([[0], np.cumsum(new)]) + rows
+        return rows, key
 
     @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every row in its exact order at lo, and each row's rank at hi."""
-        n = self.values.shape[0]
-        hi_rank = np.empty(n, dtype=np.int64)
-        hi_rank[self.order(np.arange(n), self.hi)] = np.arange(n)
-        return self.order(np.arange(n), self.lo), hi_rank
+    def ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row in its exact order at lo, and its keys (``order``) at
+        lo and hi: the form's two exact sorts, which decide the crossings."""
+        lo_order, lo_key = self.order(self.lo)
+        return lo_order, lo_key, self.order(self.hi)[1]
 
     def points(self, lines: np.ndarray, members: np.ndarray) -> _Points:
         """The ends of the interval and every crossing inside it of a
-        member's line with a line of ``lines`` (of two members once)."""
-        lo, hi = self.lo, self.hi
+        member's line with a line of ``lines`` (of two members once).
+        A pair crosses there iff its exact slopes differ and its dense
+        rank differences at lo and hi have a product of at most zero.
+        Floats only place the crossings; a nearly parallel pair, or one
+        whose error bound reaches past an end, goes to its exact point."""
+        lo, hi, n = self.lo, self.hi, self.values.shape[0]
+        dlo, dhi = (key // n for key in self.ends[1:])  # the dense ranks
         member = np.isin(lines, members)
-        pm, pc = np.nonzero((lines != members[:, None]) & ~(member & (lines < members[:, None])))
+        pair = (lines != members[:, None]) & ~(member & (lines < members[:, None]))
+        pair &= (dlo[members, None] - dlo[lines]) * (dhi[members, None] - dhi[lines]) <= 0
+        pm, pc = np.nonzero(pair)
         pm, pc = members[pm], lines[pc]
+        # float slopes round monotonically, so only equal floats need S
+        same = np.flatnonzero(self.s[pm] == self.s[pc])
+        same = same[self.S[pm[same]] == self.S[pc[same]]]
+        pm, pc = np.delete(pm, same), np.delete(pc, same)
         num, den = self.b[pc] - self.b[pm], self.s[pm] - self.s[pc]
         # the float den differs from the exact one by at most eta / 2
         eta = 2.0 * _U * (np.abs(self.s[pm]) + np.abs(self.s[pc]) + np.abs(den))
-        sure = np.abs(den) > 2.0 * eta
         with np.errstate(divide="ignore", invalid="ignore"):
             x = num / den
             err = np.abs(x) * (eta / np.abs(den) + 4.0 * _U) * 1.1
-            inside = sure & (x - err >= lo) & (x + err <= hi)
-            near = sure & (x + err >= lo) & (x - err <= hi)
-        # a nearly parallel pair crosses beyond reach unless num is tiny
-        near |= ~sure & (np.abs(num) * (1.0 - 4.0 * _U) <= 2.5 * eta * max(abs(lo), abs(hi)))
-        keep = np.flatnonzero(inside).tolist()
-        for k in np.flatnonzero(near & ~inside).tolist():
-            got = self.point(0.0, int(pm[k]), int(pc[k]))
-            if got is not None and _cmp(got, lo) >= 0 and _cmp(got, hi) <= 0:
-                x[k] = got[0] / got[1]
-                err[k] = 2.0 * _U * abs(x[k])
-                keep.append(k)
+            inside = (np.abs(den) > 2.0 * eta) & (x - err >= lo) & (x + err <= hi)
+        exact = np.flatnonzero(~inside)
+        for k in exact.tolist():
+            p, q = self.point(0.0, int(pm[k]), int(pc[k]))
+            x[k] = p / q
+        err[exact] = 2.0 * _U * np.abs(x[exact])
+        keep = np.concatenate([np.flatnonzero(inside), exact])
         return self.number(np.concatenate([[lo, hi], x[keep]]),
                            np.concatenate([[0.0, 0.0], err[keep]]),
                            np.concatenate([[-1, -1], pm[keep]]),
@@ -190,8 +208,9 @@ class _Form:
             o = np.lexsort((key, group[runs]))
             k, num, den, key = k[o], num[o], den[o], key[o]
             for a, z in _runs(np.flatnonzero(np.diff(key) != 0) + 1, k.size):
+                # the sign of num[i] / den[i] - num[j] / den[j], as den > 0
                 o = sorted(range(a, z), key=cmp_to_key(
-                    lambda i, j: _sign(num[i] * den[j] - num[j] * den[i])))
+                    lambda i, j: num[i] * den[j] - num[j] * den[i]))
                 k[a:z], num[a:z], den[a:z] = k[o], num[o], den[o]
             idx[runs] = k
             new[runs[1:]] |= (num[1:] * den[:-1] != num[:-1] * den[1:]).astype(bool)
@@ -208,16 +227,6 @@ def _runs(starts: np.ndarray, size: int):
     return zip(bounds[long].tolist(), bounds[long + 1].tolist())
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
-def _cmp(frac: tuple[int, int], v: float) -> int:
-    """Sign of the exact rational num / den (den > 0) minus the float v."""
-    p, q = v.as_integer_ratio()
-    return _sign(frac[0] * q - p * frac[1])
-
-
 def _own_ranks(form: _Form, lines: np.ndarray, members: np.ndarray, P: _Points) -> dict:
     """Rank of each member row (ascending) among ``lines`` at each of its
     own distinct points of ``form.points`` (lo, hi and its crossings),
@@ -225,11 +234,11 @@ def _own_ranks(form: _Form, lines: np.ndarray, members: np.ndarray, P: _Points) 
     ranks at them, ranks right of them).  Right of hi, each member's last
     point, lies outside the interval, so that cell's rank is 0.
 
-    The ranks at lo are exact (``_Form.order``) and carried through every
-    crossing, those at lo too: left of one the flatter line is above, at
-    it the lower row, right of it the steeper line.
+    The ranks at lo are exact, one plus the lines with a smaller key at lo
+    (``_Form.ends``), and carried through every crossing, those at lo
+    too: left of one the flatter line is above, at it the lower row,
+    right of it the steeper line.
     """
-    at_lo = np.argsort(np.searchsorted(lines, form.order(lines, form.lo))) + 1
     # (member, point, partner) per crossing and (member, end, member) per end
     k, ends = np.flatnonzero(P.pm >= 0), P.point[P.pm < 0]
     m, c = (np.concatenate([u[k], v[k], np.repeat(members, ends.size)])
@@ -250,7 +259,8 @@ def _own_ranks(form: _Form, lines: np.ndarray, members: np.ndarray, P: _Points) 
     first = np.searchsorted(m, members)  # each member's point 0
     run = np.cumsum(d_right)
     # the rank just left of lo is the rank at lo less point 0's changes
-    left = at_lo[np.searchsorted(lines, members)] - d_at[first]
+    lo_key = form.ends[1]
+    left = np.searchsorted(np.sort(lo_key[lines]), lo_key[members]) + 1 - d_at[first]
     right = (left - run[first] + d_right[first])[np.searchsorted(members, m)] + run
     at = right - d_right + d_at
     cuts = np.searchsorted(m, members, side="right")
@@ -317,7 +327,7 @@ def dualize(D: Dataset, space: RestrictedSpace | None = None) -> list[DualLine]:
     form = _Form.of(D, space)
     ordinal = {row: pos + 1 for pos, row in enumerate(form.sky.tolist())}
     return [DualLine(row + 1, float(form.b[row]), float(form.s[row]), ordinal.get(row))
-            for row in form.order(np.arange(D.n), form.lo).tolist()]
+            for row in form.ends[0].tolist()]
 
 
 def _band(form: _Form, K: int) -> np.ndarray:
@@ -329,27 +339,28 @@ def _band(form: _Form, K: int) -> np.ndarray:
     point and in every cell between, so a line that K lines outrank
     never ranks within K; and the skyline rows are the chain lines.  The
     lines before a line in the order at lo outrank it when they rank
-    better at hi, which a heap of the K best ranks at hi so far counts.
-    The K-th best only falls, so a block of lines in lo order goes to
-    the heap only where its ranks at hi beat the K-th best before it.
+    better at hi, which a heap of the K best keys at hi so far counts
+    (keys order as ranks do).  The K-th best only falls, so a block of
+    lines in lo order goes to the heap only where its keys at hi beat
+    the K-th best before it.
     """
-    lo_order, hi_rank = form.ends
+    lo_order, _, hi_key = form.ends
     if K >= lo_order.size:
         return np.arange(lo_order.size)
     inside = np.zeros(lo_order.size, dtype=bool)
     inside[form.sky] = True
-    best: list[int] = []  # the K best ranks at hi so far, negated
+    best: list[int] = []  # the K best keys at hi so far, negated
     for start in range(0, lo_order.size, _BAND_BLOCK):
         rows = lo_order[start:start + _BAND_BLOCK]
-        ranks = hi_rank[rows]
+        keys = hi_key[rows]
         if len(best) == K:
-            beat = ranks < -best[0]
-            rows, ranks = rows[beat], ranks[beat]
-        for row, rank in zip(rows.tolist(), ranks.tolist()):
+            beat = keys < -best[0]
+            rows, keys = rows[beat], keys[beat]
+        for row, key in zip(rows.tolist(), keys.tolist()):
             if len(best) < K:
-                heapq.heappush(best, -rank)
-            elif rank < -best[0]:
-                heapq.heapreplace(best, -rank)
+                heapq.heappush(best, -key)
+            elif key < -best[0]:
+                heapq.heapreplace(best, -key)
             else:
                 continue
             inside[row] = True

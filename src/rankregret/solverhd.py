@@ -251,8 +251,8 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
     ``np.argsort(-core._canonical(vectors, D.values), axis=1,
     kind="stable")[:, :K]``, up to and including each row's first tuple
     of the 1-based index set ``stop``.  After that tuple a row's columns
-    are filler; a row with no stop tuple in its first K places is exact
-    in all of them.
+    are unspecified; a row with no stop tuple in its first K places is
+    exact in all of them.
 
     Per direction cell only the tuples that ``core._candidate_blocks``
     keeps are keyed.  Its floor test drops the tuples below the cell's
@@ -281,7 +281,7 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
     near = 2 * _key_slack(V, X)
     keep = _set_rows(stop, D.n) if len(stop) else None
     pick = None if keep is None else _set_best(D, V, keep)[1]
-    out = np.empty((V.shape[0], K), dtype=np.int32)
+    out = np.zeros((V.shape[0], K), dtype=np.int32)
     for at, cand, neg in _candidate_blocks(D, V, keep, pick, K):
         np.negative(neg, out=neg)
         Kc = min(K, cand.size)
@@ -306,10 +306,6 @@ def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.nd
             score = _canonical(V[at[spill]], X[cand])
             rows[spill] = np.argsort(-score, axis=1, kind="stable")[:, :Kc]
         out[at, :Kc] = cand[rows]
-        if Kc < K:
-            # all candidates are sorted, each row's first stop tuple
-            # among them; the rest of the row is filler
-            out[at, Kc:] = out[at, Kc - 1:Kc]
     return out
 
 
@@ -394,12 +390,12 @@ class _HdInstance:
 
     A vector whose top-k holds a basis tuple is covered before the greedy
     starts, so the cover never reads its order beyond that tuple.  The
-    prefix is built on first use
-    ``min(cap, max(k, min(64, ceil(n / log2(n + 1)))))`` wide, where cap
-    is the largest threshold the caller will ask for.  A later threshold
-    beyond the width rebuilds, at least twice as wide, only the rows whose
-    prefix holds no basis tuple yet; every other row keeps its columns and
-    is padded with filler.
+    prefix starts zero wide, with no basis tuple in any row, and a
+    threshold k beyond its width widens it to
+    ``min(cap, max(k, 2 * width, min(64, ceil(n / log2(n + 1)))))``,
+    where cap is the largest threshold the caller will ask for.  Only the
+    rows whose prefix holds no basis tuple yet are rebuilt; every other
+    row keeps its columns and is padded with zeros.
     """
 
     def __init__(self, D: Dataset, disc: Discretization, stop_indices, cap: int):
@@ -407,8 +403,8 @@ class _HdInstance:
         self.disc = disc
         self.basis = stop_indices
         self.cap = cap
-        self.order: np.ndarray | None = None
-        self.first_basis: np.ndarray | None = None
+        self.order = np.zeros((disc.vectors.shape[0], 0), dtype=np.int32)
+        self.first_basis = np.zeros(disc.vectors.shape[0], dtype=np.int64)
         self.covers: dict[int, tuple[int, ...]] = {}
 
     @classmethod
@@ -427,7 +423,7 @@ class _HdInstance:
 
     @property
     def order_width(self) -> int:
-        return 0 if self.order is None else self.order.shape[1]
+        return self.order.shape[1]
 
     def uncovered(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The vectors whose top-k holds no basis tuple, and those top-k
@@ -442,16 +438,12 @@ class _HdInstance:
             raise ValueError(f"threshold k must be in 1..{D.n}, got {k}")
         width = self.order_width
         if k > width:
-            floor = 2 * width if width else min(64, math.ceil(D.n / math.log2(D.n + 1)))
-            K = min(max(k, floor), self.cap)
-            redo = np.flatnonzero(self.first_basis >= width) if width else slice(None)
+            K = min(max(k, 2 * width, min(64, math.ceil(D.n / math.log2(D.n + 1)))), self.cap)
+            redo = np.flatnonzero(self.first_basis >= width)
             rows = _descending_order(D, self.disc.vectors[redo], K, self.basis)
-            first = _first_stop(rows, _tuple_mask(self.basis, D.n))
-            if width:
-                order = np.pad(self.order, ((0, 0), (0, K - width)), mode="edge")
-                order[redo], self.first_basis[redo] = rows, first
-                rows, first = order, self.first_basis
-            self.order, self.first_basis = rows, first
+            self.first_basis[redo] = _first_stop(rows, _tuple_mask(self.basis, D.n))
+            self.order = np.pad(self.order, ((0, 0), (0, K - width)))
+            self.order[redo] = rows
         uncovered_ids = np.flatnonzero(self.first_basis >= k)
         return uncovered_ids, self.order[uncovered_ids, :k]
 

@@ -118,8 +118,10 @@ class TestSolve:
         assert "usage error" in err and "--linear-scan" in err
 
     @pytest.mark.parametrize("text", ['[[1, -1]]', '"x"', '{"halfspaces": 5}',
-                                      '{"halfspaces": [1, -1]}', '{"halfspaces": [[null, 1]]}'],
-                             ids=["list", "string", "number", "flat-list", "null-entry"])
+                                      '{"halfspaces": [1, -1]}', '{"halfspaces": [[null, 1]]}',
+                                      '{"halfspace": [[1, -1]]}', '{}'],
+                             ids=["list", "string", "number", "flat-list", "null-entry",
+                                  "misspelled-key", "empty-object"])
     def test_malformed_restrict_file_exits_2(self, demo_csv, tmp_path, text):
         spath = tmp_path / "space.json"
         spath.write_text(text, encoding="utf-8")
@@ -128,6 +130,15 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(spath) in err
         assert "Traceback" not in err
+
+    def test_empty_halfspace_list_is_the_full_space(self, demo_csv, tmp_path):
+        spath = tmp_path / "space.json"
+        spath.write_text('{"halfspaces": []}', encoding="utf-8")
+        code, out, _ = run(["solve", "--algo", "2d", "--r", "1",
+                            "--input", demo_csv, "--restrict", str(spath)])
+        assert code == 0
+        data = json.loads(out)
+        assert data["params"]["halfspaces"] == [] and data["indices"] == [3]
 
     def test_missing_required_flag_is_usage_error(self, demo_csv):
         code, _, err = run(["solve", "--algo", "2d", "--input", demo_csv])

@@ -429,3 +429,22 @@ def test_score_of_one_record_is_its_canonical_score(data):
     for u in V[data.draw(st.lists(st.integers(0, len(V) - 1), min_size=1, max_size=4))]:
         got = np.array([rr.score(u, D.record(i)) for i in range(1, D.n + 1)])
         assert np.array_equal(got.view(np.int64), rr.scores(D, u).view(np.int64))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda D: rr.Dataset([[0.0, np.nan], [1.0, 1.0]], normalized=False), ValueError, "finite"),
+    (lambda D: rr.Dataset([[0.0, np.inf], [1.0, 1.0]], normalized=False), ValueError, "finite"),
+    (lambda D: rr.Dataset(D.values, ("A1",)), ValueError, "expected 2 attribute names, got 1"),
+    (lambda D: rr.Dataset(D.values, ("a", "b", "c")), ValueError, "expected 2 attribute names"),
+    (lambda D: rr.rank_regret_of_set((0.5, 0.5), [0], D), IndexError, r"1\.\.7"),
+    (lambda D: rr.rank_regret_of_set((0.5, 0.5), [2, 8], D), IndexError, r"1\.\.7"),
+    (lambda D: rr.shift(D, [0.1, 0.1, 0.1]), ValueError, "2 components"),
+    (lambda D: rr.shift(D, [[0.1, 0.1]]), ValueError, "2 components"),
+    (lambda D: rr.RestrictedSpace(((1.0, -1.0), (1.0, -1.0, 0.0))), ValueError, "one dimension"),
+    (lambda D: rr.RestrictedSpace.weak_ranking(3, 0), ValueError, "levels"),
+    (lambda D: rr.RestrictedSpace.weak_ranking(3, 3), ValueError, "levels"),
+], ids=["nan", "inf", "too-few-names", "too-many-names", "index-0", "index-n+1",
+        "shift-length", "shift-2d", "mixed-halfspaces", "levels-0", "levels-d"])
+def test_input_checks(demo7, call, error, match):
+    with pytest.raises(error, match=match):
+        call(demo7)

@@ -134,6 +134,25 @@ class TestLoadCsv:
         D = load_csv(p, negate_columns=[2])
         assert D.values.tolist() == [[0, 1], [0.5, 0.5], [1, 0]]
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        text = "A1,A2\n10,0.2\n30,1\n20,0.6\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        D = load_csv(marked, negate_columns=["A1"])
+        assert D.attribute_names == ("A1", "A2")
+        assert np.array_equal(D.values, load_csv(plain, negate_columns=["A1"]).values)
+
+    @pytest.mark.parametrize("text", ["a\n1\n2\n", "a\n", "\n1,2\n"],
+                             ids=["one-column", "one-column-no-rows", "blank-header"])
+    def test_header_needs_two_columns(self, tmp_path, text):
+        p = tmp_path / "narrow.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="narrow.csv: need at least 2 columns, header has"):
+            load_csv(p)
+
     def test_ragged_row_diagnostic(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n3\n", encoding="utf-8")

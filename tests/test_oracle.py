@@ -208,3 +208,9 @@ class TestMinCoverOracle:
             rr.exhaustive_min_cover_size(np.arange(1), many_sets)
         with pytest.raises(rr.GuardExceededError, match="30 sets / 40 items"):
             rr.exhaustive_min_cover_size(np.arange(41), {1: np.arange(41)})
+
+
+@pytest.mark.parametrize("r", [0, 8], ids=["r-0", "r-n+1"])
+def test_exhaustive_rejects_a_budget_outside_1_to_n(demo7, r):
+    with pytest.raises(ValueError, match=rf"budget r must be in 1\.\.7, got {r}"):
+        rr.exhaustive_rrm(demo7, r)

@@ -377,10 +377,10 @@ def test_band_is_the_skyband_of_the_exact_end_ranks(data, weak, K):
 
     D = rr.Dataset(_tied_values(data), normalized=False)
     form = _Form.of(D, rr.RestrictedSpace.weak_ranking(2) if weak else None)
-    lo_order, hi_rank = form.ends
+    lo_order, _, hi_key = form.ends
     ranks = np.empty((D.n, 2))
     ranks[lo_order, 0] = np.arange(D.n)
-    ranks[:, 1] = hi_rank
+    ranks[np.argsort(hi_key), 1] = np.arange(D.n)
     inside = skyband(-ranks, K)
     inside[form.sky] = True
     assert _band(form, K).tolist() == np.flatnonzero(inside).tolist()
@@ -519,3 +519,44 @@ def test_middle_line_of_a_concurrent_point():
     assert (res.selected_indices, res.rank_regret) == ((1, 2, 3), 1)
     assert rr.solve_rrm_2d(D, 2).rank_regret == 2
     assert rr.solve_rrr_2d(D, 1).selected_indices == (1, 2, 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_end_orders_decide_the_crossings(data):
+    # tied rows and rows one or two ulps apart, over quarter-step, float and
+    # zero-width intervals: the keys of _Form.order against Fraction
+    # scores, and the pairs of _Form.points against every exact crossing
+    vals = _tied_values(data)
+    if data.draw(st.booleans()):
+        ulps = data.draw(st.lists(st.integers(-2, 2), min_size=vals.size, max_size=vals.size))
+        vals = vals + np.reshape(ulps, vals.shape) * np.spacing(vals)
+    lo = data.draw(st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0))
+    hi = data.draw(st.sampled_from([lo, 1.0]) | st.floats(lo, 1.0))
+    form, n = _Form(vals, (lo, hi)), vals.shape[0]
+    lines = [(Fraction(v1), Fraction(v0) - Fraction(v1)) for v0, v1 in vals.tolist()]
+    for x in (lo, hi):
+        y = [b + s * Fraction(x) for b, s in lines]
+        rows, key = form.order(x)
+        assert rows.tolist() == sorted(range(n), key=lambda i: (-y[i], i))
+        assert sorted(range(n), key=key.__getitem__) == rows.tolist()
+        assert all((key[i] // n == key[j] // n) == (y[i] == y[j])
+                   for i in range(n) for j in range(n))
+    want = {}
+    for a, (ba, sa) in enumerate(lines):
+        for c, (bc, sc) in enumerate(lines[a + 1:], start=a + 1):
+            if sa != sc and Fraction(lo) <= (bc - ba) / (sa - sc) <= Fraction(hi):
+                want[a, c] = (bc - ba) / (sa - sc)
+    P = form.points(np.arange(n), np.arange(n))
+    got = {(int(m), int(c)): int(g) for m, c, g in zip(P.pm, P.pc, P.point) if m >= 0}
+    assert sorted(got) == sorted(want)
+    # the point numbers order the crossings as their exact x do
+    assert all((got[p] < got[q]) == (want[p] < want[q]) for p in got for q in got)
+
+
+@pytest.mark.parametrize("call", [lambda D: rr.exact_chain_rank([1], D),
+                                  lambda D: rr.solve_rrr_2d(D, 1)],
+                         ids=["exact_chain_rank", "solve_rrr_2d"])
+def test_2d_entry_points_reject_d3(call):
+    with pytest.raises(ValueError, match="requires d = 2"):
+        call(rr.Dataset(np.eye(3)))

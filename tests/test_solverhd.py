@@ -610,3 +610,13 @@ class TestNetSampleBound:
             NetBoundParams(0.5, 3, 0.1)
         with pytest.raises(ValueError):
             NetBoundParams(1, 3, 1.5)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: HdParams(r=3, m=0), "sample size m must be at least 1"),
+    (lambda: HdParams(r=3, m=-5), "sample size m must be at least 1"),
+    (lambda: rr.sample_sphere(3, 0, 1), "sample count m must be at least 1"),
+], ids=["params-m-0", "params-m-negative", "sample-sphere-0"])
+def test_sample_size_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
