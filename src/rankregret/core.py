@@ -437,7 +437,7 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
-def _key_slack(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _key_slack(V: np.ndarray, X: np.ndarray, ulps: int = 0) -> np.ndarray:
     """Per utility row u of V, a bound W(u) such that every float
     evaluation of u . t (a BLAS key: any summation order, fused or not)
     lies within W(u) of the canonical score of every tuple t of X.
@@ -445,11 +445,15 @@ def _key_slack(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     Both differ from the exact u . t by at most gamma_d sum_j |u_j t_j|,
     so 2 gamma_d sum_j |u_j| max_t |t_j| bounds their distance; using
     gamma_{d+4} also absorbs the rounding of this bound and of a key
-    plus or minus it, and the last term absorbs underflow.
+    plus or minus it, and the last term absorbs underflow.  A key read
+    back up to ``ulps`` steps of its last place away (a truncated key)
+    moves by at most ulps (2 u |key| + the least subnormal); gamma_{d+4+2
+    ulps} and ``ulps`` more subnormals absorb that too.
     """
     d = X.shape[1]
     scale = np.abs(V) @ np.abs(X).max(axis=0)
-    return 2 * _gamma(d + 4) * scale + 4 * d * np.finfo(float).smallest_subnormal
+    tiny = np.finfo(float).smallest_subnormal
+    return 2 * _gamma(d + 4 + 2 * ulps) * scale + (4 * d + ulps) * tiny
 
 
 def _direction_cells(V: np.ndarray, n: int) -> np.ndarray:
@@ -519,6 +523,9 @@ def _cell_candidates(V: np.ndarray, X: np.ndarray, keep=None, pick=None, K=None)
     - Floor.  With K given, t is dropped when its box bound is below the
       cell's K-th largest lower bound less the slack: K tuples then
       outscore it at every row of the cell, so it is in no row's top K.
+      Any K tuples will do, so the lower bounds are taken only over the
+      tuples that pass the pivot test in some cell of the step, and only
+      those are bounded; with fewer than K of them there is no floor.
 
     Slack.  Let M_j = max_t |t_j|, m_j = max(|hi_j|, |lo_j|) and
     reach = sum_j m_j M_j, and let u be any row of the cell.  The pivot
@@ -532,15 +539,22 @@ def _cell_candidates(V: np.ndarray, X: np.ndarray, keep=None, pick=None, K=None)
     reach.  The slack 4 gamma_{2d+4} reach also absorbs its own rounding
     and the comparison, and the last term absorbs underflow.
 
-    With K given every block is one cell.  Without K, consecutive cells
-    that share a pivot form one block with the union of their candidates
-    while its rows times that union stay within ``_CELL_KEYS``; a cell
-    that does not fit starts the next block.  A tuple outside the union is
-    dropped in every member cell, so it scores below the shared pivot at
-    every row of the block, and a member cell's extra tuples score below
-    it at that cell's rows.  The tuples of ``keep`` are always yielded.
+    Consecutive cells that share a pivot form one block with the union of
+    their candidates while its rows times that union stay within
+    ``_CELL_KEYS``, and, with K given, within twice the keys of its cells
+    keyed alone, since every key of the prefix is sorted; a cell that does
+    not fit starts the next block.  A tuple outside the union is dropped
+    in every member cell, so it scores below the shared pivot at every row
+    of the block (with K, it is in no row's top K), and a member cell's
+    extra tuples score below it at that cell's rows, which only costs
+    keys.  The tuples of ``keep`` are always yielded.
+
     Cells are bounded pivot by pivot, so each pivot's signed differences
     are formed once, in steps of at most ``_BLOCK_CELLS // 8`` bounds.
+    Without K, a pivot that owns several cells first runs its pivot test
+    once over the box of all of them, with that box's own slack: a tuple
+    it drops scores below the pivot at every row of the group, so the cell
+    bounds see only the survivors (and the tuples of ``keep``).
     """
     n, d = X.shape
     if not V.shape[0]:
@@ -554,45 +568,75 @@ def _cell_candidates(V: np.ndarray, X: np.ndarray, keep=None, pick=None, K=None)
     by_cell = V[order]
     hi = np.maximum.reduceat(by_cell, starts)
     lo = np.minimum.reduceat(by_cell, starts)
-    reach = np.maximum(np.abs(hi), np.abs(lo)) @ np.abs(X).max(axis=0)
-    slack = 4 * _gamma(2 * d + 4) * reach + 8 * d * np.finfo(float).smallest_subnormal
+    x_max = np.abs(X).max(axis=0)
+
+    def box_slack(hi, lo):
+        reach = np.maximum(np.abs(hi), np.abs(lo)) @ x_max
+        return 4 * _gamma(2 * d + 4) * reach + 8 * d * np.finfo(float).smallest_subnormal
+
+    slack = box_slack(hi, lo)
     upper = np.hstack([hi, -lo])
 
-    def signed_T(A):
-        return np.vstack([np.maximum(A, 0.0).T, np.maximum(-A, 0.0).T])
+    by_attr = np.ascontiguousarray(X.T)
+
+    def signed_T(A_T):
+        # the positive and negative parts of a d x n matrix as one 2d x n
+        # array, with no temporary of its size
+        out = np.empty((2 * d, A_T.shape[1]))
+        np.maximum(A_T, 0.0, out=out[:d])
+        np.minimum(A_T, 0.0, out=out[d:])
+        np.subtract(0.0, out[d:], out=out[d:])
+        return out
 
     def rows_of(cells):
         return np.concatenate([order[starts[i]:ends[i]] for i in cells])
 
     if K is not None:
-        lower, X_T = np.hstack([lo, -hi]), signed_T(X)
+        lower, X_T = np.hstack([lo, -hi]), signed_T(by_attr)
     pivots = np.full(sizes.size, -1) if pick is None else _cell_pivots(order, sizes, pick)
     by_pivot = np.argsort(pivots, kind="stable")
     step = max(1, _BLOCK_CELLS // 8 // n)
+    every = np.arange(n)
     for cells in np.split(by_pivot, np.flatnonzero(np.diff(pivots[by_pivot])) + 1):
-        p = pivots[cells[0]]
-        diff_T = None if p < 0 else signed_T(X - X[p])
+        p, live = pivots[cells[0]], every
+        diff_T = None if p < 0 else signed_T(by_attr - by_attr[:, p, None])
+        if diff_T is not None and K is None and cells.size > 1:
+            # the group's box holds every row of its cells
+            g_hi, g_lo = hi[cells].max(axis=0), lo[cells].min(axis=0)
+            live = np.flatnonzero(np.hstack([g_hi, -g_lo]) @ diff_T >= -box_slack(g_hi, g_lo))
+            if keep is not None:
+                live = np.union1d(live, keep)
+            diff_T = diff_T[:, live]
+        kept = None if keep is None else np.searchsorted(live, keep)
         for at in range(0, cells.size, step):
             c = cells[at:at + step]
-            ok = np.ones((c.size, n), dtype=bool)
+            ok = np.ones((c.size, live.size), dtype=bool)
             if diff_T is not None:
                 ok &= upper[c] @ diff_T >= -slack[c, None]
             if K is not None:
-                low = lower[c] @ X_T
-                low.partition(n - K, axis=1)
-                ok &= upper[c] @ X_T >= (low[:, n - K] - slack[c])[:, None]
-            if keep is not None:
-                ok[:, keep] = True
-            first, union, count = 0, ok[0], sizes[c[0]]
+                # the floor is bounded over the pivot test's survivors only
+                cols = np.flatnonzero(ok.any(axis=0))
+                if cols.size >= K:
+                    X_live = X_T[:, cols]
+                    low = lower[c] @ X_live
+                    low.partition(cols.size - K, axis=1)
+                    floor = low[:, cols.size - K] - slack[c]
+                    ok[:, cols] &= upper[c] @ X_live >= floor[:, None]
+            if kept is not None:
+                ok[:, kept] = True
+            # a block holds at most _CELL_KEYS keys and, with K, at most
+            # twice the keys of its cells keyed alone
+            alone = sizes[c] * (_CELL_KEYS if K is None else np.count_nonzero(ok, axis=1))
+            first, union, count, own = 0, ok[0], sizes[c[0]], alone[0]
             for j in range(1, c.size):
-                if K is None:
-                    joined = union | ok[j]
-                    if (count + sizes[c[j]]) * np.count_nonzero(joined) <= _CELL_KEYS:
-                        union, count = joined, count + sizes[c[j]]
-                        continue
-                yield rows_of(c[first:j]), np.flatnonzero(union)
-                first, union, count = j, ok[j], sizes[c[j]]
-            yield rows_of(c[first:]), np.flatnonzero(union)
+                joined = union | ok[j]
+                keys = (count + sizes[c[j]]) * np.count_nonzero(joined)
+                if keys <= min(_CELL_KEYS, 2 * (own + alone[j])):
+                    union, count, own = joined, count + sizes[c[j]], own + alone[j]
+                    continue
+                yield rows_of(c[first:j]), live[np.flatnonzero(union)]
+                first, union, count, own = j, ok[j], sizes[c[j]], alone[j]
+            yield rows_of(c[first:]), live[np.flatnonzero(union)]
 
 
 def _candidate_blocks(D: Dataset, V: np.ndarray, rows, pick, K=None):
@@ -610,10 +654,11 @@ def _candidate_blocks(D: Dataset, V: np.ndarray, rows, pick, K=None):
     A block of keys is cut by ``_score_blocks`` at ``_BLOCK_CELLS`` cells
     (one row when a row alone exceeds it).  Without K a row is its |cand|
     keys.  With K it is |cand| + 3 min(K, |cand|) cells: a caller that
-    selects the top K holds a row's keys and either their partition (16
-    bytes per key) or about six K-wide arrays (48K bytes), so a block's
-    peak stays near 16 * ``_BLOCK_CELLS`` bytes for every K and the memory
-    of a solve does not depend on how deep its thresholds go.
+    selects the top K packs and partitions a row's keys in place (8 bytes
+    per key) and then holds at most five K-wide arrays (40K bytes: the
+    sorted top, its keys, their gaps, the positions and masks), so a block's peak
+    stays below 16 * ``_BLOCK_CELLS`` bytes for every K and the memory of a
+    solve does not depend on how deep its thresholds go.
     """
     X = D.values
     for ids, cand in _cell_candidates(V, X, rows, pick, K):

@@ -11,7 +11,11 @@ tuple: beyond it the cover never reads, as a vector with a basis tuple in
 its top-k is already covered.  The prefix is built per direction cell
 over the tuples that can reach the cell's top K and can outscore one
 basis tuple, the cell's pivot, at some row (threshold-algorithm bounds),
-keyed in the blocks of ``core._candidate_blocks`` as the rank kernel is.
+keyed in the blocks of ``core._candidate_blocks`` as the rank kernel is,
+with cells that share a pivot joined while that costs few extra keys.
+Each block selects its top K by one value sort of int64 keys packed in
+place (order-preserving key bits above the candidate's position), and
+the build returns each vector's first basis column with its prefix.
 For a size budget r, a doubling-plus-binary search finds the smallest
 threshold k whose cover fits r.  For a threshold k, the greedy cover at k
 bounds the size, and the same search, capped at k, then tries each
@@ -245,68 +249,112 @@ class CoverStructure:
     cover_sets: dict[int, np.ndarray]
 
 
-def _descending_order(D: Dataset, vectors: np.ndarray, K: int, stop=()) -> np.ndarray:
+def _descending_order(D: Dataset, vectors: np.ndarray, K: int,
+                      stop=()) -> tuple[np.ndarray, np.ndarray]:
     """First K columns of every vector's descending tuple order by
-    canonical score, ties to the lower index: exactly
-    ``np.argsort(-core._canonical(vectors, D.values), axis=1,
-    kind="stable")[:, :K]``, up to and including each row's first tuple
-    of the 1-based index set ``stop``.  After that tuple a row's columns
-    are unspecified; a row with no stop tuple in its first K places is
-    exact in all of them.
+    canonical score, ties to the lower index, and each row's first-stop
+    column.  The columns are exactly ``np.argsort(-core._canonical(vectors,
+    D.values), axis=1, kind="stable")[:, :K]``, up to and including each
+    row's first tuple of the 1-based index set ``stop``.  After that tuple
+    a row's columns are unspecified; a row with no stop tuple in its first
+    K places is exact in all of them.  A row's first-stop column is the
+    column of that first stop tuple (the row's best stop tuple, ``pick``),
+    or K when it is not in the prefix or ``stop`` is empty.
 
-    Per direction cell only the tuples that ``core._candidate_blocks``
-    keeps are keyed.  Its floor test drops the tuples below the cell's
-    K-th largest lower bound: K tuples score at least that at every row
-    of the cell, so no other tuple is in any row's top K.  Its pivot test
-    drops the tuples that score strictly below one stop tuple, the pivot,
-    at every row of the cell: a tuple before a row's first stop tuple
-    scores at least that row's best stop tuple, so at least the pivot.
-    The stop tuples are always keyed, and a cell with fewer than K
-    candidates sorts all of them.  Each block of keys is partitioned at
-    its (K+1)-th key and only the top K are sorted.  Keys farther apart
-    than twice ``core._key_slack`` order as their canonical scores do.  The
-    runs of adjacent prefix keys closer than that are re-sorted on
-    canonical scores, ties to the lower index (``_sort_runs``); a row
-    whose (K+1)-th key is that close to its K-th key, where the partition
-    may have chosen the wrong tuples, is sorted stably in full on
-    canonical scores.  The candidates
-    are sorted, so positions among them map back to tuples with the index
-    tie rule intact.  Peak working memory is O(``_BLOCK_CELLS``) cells
-    whatever K is, plus the N x K output.
+    Only the tuples that ``core._candidate_blocks`` keeps for a row's
+    block of direction cells are keyed.  Its pivot test drops the tuples
+    that score strictly below one stop tuple, the pivot, at every row of
+    the cell: a tuple before a row's first stop tuple scores at least that
+    row's best stop tuple, so at least the pivot.  Its floor test drops
+    the tuples below the K-th largest lower bound of the pivot test's
+    survivors: K tuples score at least that at every row of the cell, so
+    no other tuple is in any row's top K.  The stop tuples are always
+    keyed, and a block with fewer than K candidates sorts all of them.
+
+    Selection is one value sort of int64 keys packed in place in the key
+    block (``_pack``): the key's order-preserving bits, inverted, with the
+    candidate's position in the low b = bitlen(|cand| - 1) bits.  Each row
+    is partitioned at its (K+1)-th packed key and only the top K are
+    sorted; equal truncated keys fall in position order, so the index tie
+    rule holds among them.  Keys read back from the packed values are off
+    by at most 2^b steps of their last place, so they order as their
+    canonical scores do when they lie farther apart than twice
+    ``core._key_slack`` with that many steps.  The runs of adjacent prefix
+    keys closer than that are re-sorted on canonical scores, ties to the
+    lower index (``_sort_runs``); a row whose (K+1)-th key is that close
+    to its K-th key, where the partition may have chosen the wrong tuples,
+    is sorted stably in full on canonical scores.  The candidates are
+    sorted, so positions among them map back to tuples.  Peak working
+    memory is O(``_BLOCK_CELLS``) cells whatever K is, plus the N x K
+    output.
     """
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     if not 1 <= K <= D.n:
         raise ValueError(f"order width K must be in 1..{D.n}, got {K}")
     X = D.values
-    near = 2 * _key_slack(V, X)
     keep = _set_rows(stop, D.n) if len(stop) else None
     pick = None if keep is None else _set_best(D, V, keep)[1]
+    signed = bool(np.signbit(V).any() or np.signbit(X).any())
+    near: dict[int, np.ndarray] = {}
     out = np.zeros((V.shape[0], K), dtype=np.int32)
-    for at, cand, neg in _candidate_blocks(D, V, keep, pick, K):
-        np.negative(neg, out=neg)
-        Kc = min(K, cand.size)
+    first = np.full(V.shape[0], K, dtype=np.int64)
+    for at, cand, keys in _candidate_blocks(D, V, keep, pick, K):
+        Kc, bits = min(K, cand.size), (cand.size - 1).bit_length()
+        if bits not in near:
+            near[bits] = 2 * _key_slack(V, X, 1 << bits)
+        packed = _pack(keys, bits, signed)
         if Kc < cand.size:
-            # column Kc of the partition holds the (Kc+1)-th key; int32
-            # indices keep the working set small when K is close to n
-            part = np.argpartition(neg, Kc, axis=1)
-            after = _take_rows(neg, part[:, Kc:Kc + 1])[:, 0]
-            top = part[:, :Kc].astype(np.int32)
+            # column Kc of the partition holds the (Kc+1)-th key
+            packed.partition(Kc, axis=1)
+            after = _unpack(packed[:, Kc], bits, signed)
+            top = np.sort(packed[:, :Kc], axis=1)
         else:
             # every candidate is in the prefix and none can spill
-            after = np.full(neg.shape[0], np.inf)
-            top = np.broadcast_to(np.arange(Kc, dtype=np.int32), neg.shape)
-        top_neg = _take_rows(neg, top)
-        pos = np.argsort(top_neg, axis=1)
-        rows = _take_rows(top, pos)
-        sorted_neg = _take_rows(top_neg, pos)
-        gap = near[at, None]
-        _sort_runs(rows, np.diff(sorted_neg, axis=1) <= gap, V, X, at, cand)
-        spill = np.flatnonzero(after <= sorted_neg[:, Kc - 1] + gap[:, 0])
+            after = np.full(packed.shape[0], -np.inf)
+            top = np.sort(packed, axis=1)
+        rows = top & ((1 << bits) - 1)
+        top_keys = _unpack(top, bits, signed)
+        gap = near[bits][at]
+        _sort_runs(rows, np.diff(top_keys, axis=1) >= -gap[:, None], V, X, at, cand)
+        spill = np.flatnonzero(top_keys[:, Kc - 1] - after <= gap)
         if spill.size:
             score = _canonical(V[at[spill]], X[cand])
             rows[spill] = np.argsort(-score, axis=1, kind="stable")[:, :Kc]
         out[at, :Kc] = cand[rows]
-    return out
+        if pick is not None:
+            hit = rows == np.searchsorted(cand, pick[at])[:, None]
+            first[at] = np.where(hit.any(axis=1), np.argmax(hit, axis=1), K)
+    return out, first
+
+
+# The bits below an int64 sign bit: xor with them maps a float's bits to
+# an integer that orders as the float does, for negative floats too.
+_BELOW_SIGN = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _pack(keys: np.ndarray, bits: int, signed: bool) -> np.ndarray:
+    """The float key block as int64 values, in place, whose ascending
+    order is the descending key order, ties among keys equal above the low
+    ``bits`` bits broken by candidate position.  With f the key's
+    order-preserving bits (the sign folded in only when ``signed``: with
+    no sign bit in V or X every key is +0.0 or more) and mask the low
+    bits, a value is (pos - 1) - (f | mask) = ~((f | mask) - pos): the
+    inverted key above the position."""
+    f = keys.view(np.int64)
+    if signed:
+        np.bitwise_xor(f, _BELOW_SIGN, out=f, where=f < 0)
+    np.bitwise_or(f, (1 << bits) - 1, out=f)
+    np.subtract(np.arange(-1, keys.shape[1] - 1), f, out=f)
+    return f
+
+
+def _unpack(packed: np.ndarray, bits: int, signed: bool) -> np.ndarray:
+    """The keys of ``_pack``ed values with their low ``bits`` bits set,
+    within 2^bits steps of the last place of the keys packed."""
+    f = ~packed | ((1 << bits) - 1)
+    if signed:
+        np.bitwise_xor(f, _BELOW_SIGN, out=f, where=f < 0)
+    return f.view(np.float64)
 
 
 def _sort_runs(rows: np.ndarray, link: np.ndarray, V: np.ndarray, X: np.ndarray,
@@ -347,12 +395,6 @@ def _tuple_mask(indices, n: int) -> np.ndarray:
     return mask
 
 
-def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``a[i, idx[i, j]]`` for every i and j: ``np.take_along_axis`` on
-    axis 1 as one flat gather, about twice as fast."""
-    return a.reshape(-1)[idx + a.shape[1] * np.arange(a.shape[0])[:, None]]
-
-
 def build_cover(D: Dataset, k: int, basis_indices, disc: Discretization) -> CoverStructure:
     """Top-k membership of every vector, reduced by the basis tuples."""
     uncovered_ids, rows = _HdInstance(D, disc, basis_indices, cap=k).uncovered(k)
@@ -385,8 +427,8 @@ class _HdInstance:
     """One cover problem prepared for many thresholds: the dataset, the
     discretization, the 1-based basis (stop) tuples, a descending order
     prefix of every discretization vector, exact up to the vector's first
-    basis tuple, with that tuple's column, and the greedy cover at every
-    threshold asked for so far.
+    basis tuple, with that tuple's column as the build returns it, and
+    the greedy cover at every threshold asked for so far.
 
     A vector whose top-k holds a basis tuple is covered before the greedy
     starts, so the cover never reads its order beyond that tuple.  The
@@ -394,8 +436,10 @@ class _HdInstance:
     threshold k beyond its width widens it to
     ``min(cap, max(k, 2 * width, min(64, ceil(n / log2(n + 1)))))``,
     where cap is the largest threshold the caller will ask for.  Only the
-    rows whose prefix holds no basis tuple yet are rebuilt; every other
-    row keeps its columns and is padded with zeros.
+    rows whose prefix holds no basis tuple yet are rebuilt, and their
+    basis columns come from that build; every other row keeps its columns
+    and is padded with zeros.  ``_first_stop`` scans a prefix only for the
+    ranks of a returned set (``_result``).
     """
 
     def __init__(self, D: Dataset, disc: Discretization, stop_indices, cap: int):
@@ -440,8 +484,8 @@ class _HdInstance:
         if k > width:
             K = min(max(k, 2 * width, min(64, math.ceil(D.n / math.log2(D.n + 1)))), self.cap)
             redo = np.flatnonzero(self.first_basis >= width)
-            rows = _descending_order(D, self.disc.vectors[redo], K, self.basis)
-            self.first_basis[redo] = _first_stop(rows, _tuple_mask(self.basis, D.n))
+            rows, self.first_basis[redo] = _descending_order(D, self.disc.vectors[redo], K,
+                                                             self.basis)
             self.order = np.pad(self.order, ((0, 0), (0, K - width)))
             self.order[redo] = rows
         uncovered_ids = np.flatnonzero(self.first_basis >= k)

@@ -89,10 +89,16 @@ def hd_tables(d: int):
 
 def signed_tables(d: int):
     """``hd_tables`` shifted and with some columns negated: un-normalized
-    tables with negative entries."""
+    tables with negative entries, and in some tables every zero is -0.0,
+    whose sign bit a key's order-preserving bits must fold in."""
     shift = st.sampled_from([0.0, 0.5, 1.0])
     signs = st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d)
-    return st.tuples(hd_tables(d), shift, signs).map(lambda a: (a[0] - a[1]) * np.asarray(a[2]))
+
+    def make(a):
+        t = (a[0] - a[1]) * np.asarray(a[2])
+        return np.where(t == 0, -0.0, t) if a[3] else t
+
+    return st.tuples(hd_tables(d), shift, signs, st.booleans()).map(make)
 
 
 def utility_rows(d: int):

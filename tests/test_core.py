@@ -408,6 +408,64 @@ def test_rank_kernel_keys_cells_of_one_pivot_together():
     assert np.array_equal(got, np.concatenate(want))
 
 
+# One pivot, or two, owning many cells: the pivot test runs once over each
+# pivot group's box before the cell bounds, and ranks and ratios stay those
+# of full scores.  Copies of the set's rows a few ulps lower come first, so
+# they win canonical ties with the pivot by index; the all-ones row keeps
+# every sampled top score >= 1.
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), cells=block_budgets)
+def test_pivot_group_prebound_keeps_ranks_and_ratio(data, cells):
+    d = data.draw(st.integers(2, 5))
+    T = data.draw(signed_tables(d))
+    members = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(T) - 1), min_size=1,
+                                                    max_size=4))))
+    lower = T[members]
+    for _ in range(data.draw(st.integers(1, 3))):
+        lower = np.nextafter(lower, -np.inf)
+    X = np.vstack([lower, T, np.ones(d)])
+    D = rr.Dataset(X, normalized=False)
+    rows = members + len(members)
+    S = set((rows + 1).tolist())
+    samples, seed = data.draw(st.integers(1, 60)), data.draw(st.integers(0, 99))
+    V = rr.sample_sphere(d, samples, seed)
+    labels = np.asarray(data.draw(st.lists(st.integers(0, 15), min_size=samples,
+                                           max_size=samples)))
+    owners = data.draw(st.lists(st.sampled_from(rows.tolist()), min_size=1, max_size=2))
+    pivots = data.draw(st.integers(0, 2 ** 32 - 1))
+    with kernel_layout(cells, labels):
+        with random_pivots(owners, pivots):
+            ranks = rr.min_ranks_for_vectors(D, V, S)
+        with random_pivots(owners, pivots):
+            ratio = rr.max_regret_ratio(S, D, samples, seed)
+    assert ranks.tolist() == core._min_rank_rows(core._canonical(V, X), rows).tolist()
+    sc = V @ X.T
+    top = sc.max(axis=1)
+    assert abs(ratio - ((top - sc[:, rows].max(axis=1)) / top).max()) <= 1e-12
+
+
+def test_order_prefix_joins_cells_within_twice_their_own_keys():
+    # with a floor K, cells that share a pivot are keyed as one block only
+    # while it holds at most _CELL_KEYS keys and at most twice the keys of
+    # its cells keyed one by one
+    D = rr.generate(GenSpec("independent", 1000, 3, seed=1))
+    V = rr.sample_sphere(3, 20_000, seed=3)
+    keep = np.asarray(D.basis_indices) - 1
+    pick = core._set_best(D, V, keep)[1]
+    labels = core._direction_cells(V, D.n)
+    with kernel_layout(core._BLOCK_CELLS, labels):
+        with mock.patch.object(core, "_CELL_KEYS", 0):
+            alone = {int(labels[ids[0]]): ids.size * cand.size
+                     for ids, cand in core._cell_candidates(V, D.values, keep, pick, 64)}
+        blocks = list(core._cell_candidates(V, D.values, keep, pick, 64))
+    assert len(alone) == np.unique(labels).size > 2 * len(blocks)
+    for ids, cand in blocks:
+        cells = np.unique(labels[ids])
+        if cells.size > 1:
+            keys = ids.size * cand.size
+            assert keys <= core._CELL_KEYS and keys <= 2 * sum(alone[c] for c in cells)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_single_vector_ranks_follow_canonical_order(data):

@@ -134,7 +134,7 @@ def test_order_prefix_matches_stable_argsort(data, cells):
     want = np.argsort(-(V @ D.values.T), axis=1, kind="stable")
     with kernel_layout(cells, data.draw(cell_labels(len(V)))):
         for K in range(1, D.n + 1):
-            assert np.array_equal(_descending_order(D, V, K), want[:, :K])
+            assert np.array_equal(_descending_order(D, V, K)[0], want[:, :K])
 
 
 @settings(max_examples=80, deadline=None)
@@ -153,16 +153,18 @@ def test_order_prefix_is_exact_up_to_the_first_stop_tuple(data, cells):
         min_size=1, max_size=8)), float)
     want = np.argsort(-(V @ X.T), axis=1, kind="stable")
     in_stop = np.isin(np.arange(D.n), np.asarray(stop) - 1)
-    # any stop tuple is a valid pivot for the cells
+    # any stop tuple is a valid pivot for the cells; the build's first-stop
+    # column is the first stop tuple's place in the exact order, or K
     with kernel_layout(cells, data.draw(cell_labels(len(V)))), \
             random_pivots(np.asarray(stop) - 1, data.draw(pivot_seeds)):
         for K in range(1, D.n + 1):
-            got = _descending_order(D, V, K, stop)
+            got, first = _descending_order(D, V, K, stop)
             assert got.shape == (len(V), K) and ((0 <= got) & (got < D.n)).all()
-            for row, exact in zip(got, want[:, :K]):
+            for row, col, exact in zip(got, first, want[:, :K]):
                 hits = np.flatnonzero(in_stop[exact])
                 end = hits[0] + 1 if hits.size else K
                 assert np.array_equal(row[:end], exact[:end])
+                assert col == (hits[0] if hits.size else K)
 
 
 @settings(max_examples=80, deadline=None)
@@ -176,7 +178,56 @@ def test_order_prefix_matches_stable_canonical_order(data, cells):
     want = np.argsort(-core._canonical(V, D.values), axis=1, kind="stable")
     with kernel_layout(cells, data.draw(cell_labels(len(V)))):
         for K in range(1, D.n + 1):
-            assert np.array_equal(_descending_order(D, V, K), want[:, :K])
+            assert np.array_equal(_descending_order(D, V, K)[0], want[:, :K])
+
+
+# ROADMAP item 1's rows: float sums can tie where the exact sums differ
+ULP_ROWS = [[1.0, float.fromhex("0x1.4596e535c0e74p-3")],
+            [float.fromhex("0x1.2da2f1f56f860p-6"), 1.0],
+            [float.fromhex("0x1.75507e7d33cbap-2"), float.fromhex("0x1.c288f41f8484ap-1")],
+            [float.fromhex("0x1.75507e7d33cb9p-2"), float.fromhex("0x1.c288f41f8484bp-1")]]
+
+
+def ulp_tied_table(d, seed, signed):
+    """525 rows: 15 copies of 35 base rows (ROADMAP item 1's rows
+    among them at d = 2, zeros among them), each coordinate moved 0 to 5
+    steps of its last place.  Signed tables negate two columns, so their
+    zeros are -0.0."""
+    rng = np.random.default_rng(seed)
+    base = rng.random((35, d))
+    base[::5, 0] = 0.0
+    if d == 2:
+        base[:4] = ULP_ROWS
+    X = np.repeat(base, 15, axis=0)
+    X = (X.view(np.int64) + rng.integers(0, 6, X.shape)).view(np.float64)
+    if signed:
+        X[:, :2] *= -1.0
+    return X
+
+
+@pytest.mark.parametrize("signed,one_row_cells", [(False, False), (True, False), (False, True)])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_order_prefix_is_exact_on_rows_ulps_apart(d, signed, one_row_cells, monkeypatch):
+    # keys of rows a few ulps apart tie after truncation to the bits above
+    # the candidate position (b >= 10 here), and on signed tables their
+    # sign is folded in; the prefix must still be the stable canonical one.
+    # A cell of one row has bounds as tight as its keys.
+    X = ulp_tied_table(d, 17 + d, signed)
+    D = rr.Dataset(X, normalized=False)
+    V = np.vstack([rr.polar_grid(d, 2), rr.sample_sphere(d, 12, seed=d)])
+    want = np.argsort(-core._canonical(V, X), axis=1, kind="stable")
+    real, seen = solverhd._pack, set()
+
+    def recording(keys, bits, sign):
+        seen.add((bits, sign))
+        return real(keys, bits, sign)
+
+    monkeypatch.setattr(solverhd, "_pack", recording)
+    with kernel_layout(core._BLOCK_CELLS, np.arange(len(V)) if one_row_cells else None):
+        for K in range(1, D.n + 1):
+            assert np.array_equal(_descending_order(D, V, K)[0], want[:, :K])
+    assert max(bits for bits, _ in seen) >= 10
+    assert {sign for _, sign in seen} == {signed}
 
 
 @pytest.mark.parametrize("K", [1, 500, 2000])
@@ -186,7 +237,7 @@ def test_order_prefix_working_memory_does_not_grow_with_width(K):
     D = generate(GenSpec("independent", 2000, 3, seed=3))
     V = rr.sample_sphere(3, 4000, 5)
     out = []
-    peak = traced_peak(lambda: out.append(_descending_order(D, V, K)))
+    peak = traced_peak(lambda: out.append(_descending_order(D, V, K)[0]))
     assert peak - out[0].nbytes < 2.5 * 8 * core._BLOCK_CELLS
 
 
@@ -388,7 +439,7 @@ class TestSolveRrmHd:
         assert res.rank_regret > 64
         (V, first), (again, wider) = calls
         assert (len(V), first, wider) == (13_870, 64, 128)
-        exact = real(D, V, 64)
+        exact = real(D, V, 64)[0]
         reached = np.isin(exact, np.asarray(D.basis_indices) - 1).any(axis=1)
         assert np.array_equal(again, V[~reached])
         assert len(again) == 3382
